@@ -30,13 +30,11 @@ func main() {
 		window = flag.Int("window", 0, "max sliding-window size (0 = default)")
 		asJSON = flag.Bool("json", false, "emit figures as JSON instead of tables")
 
-		workers    = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		iosWorkers = flag.Int("ios-workers", 0, "concurrent IOS block solves per scheduler run (0/1 = serial)")
+		workers = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 
-	opt := hios.SimOptions{Seeds: *seeds, GPUs: *gpus, Window: *window,
-		Workers: *workers, IOSWorkers: *iosWorkers}
+	opt := hios.SimOptions{Seeds: *seeds, GPUs: *gpus, Window: *window, Workers: *workers}
 	if err := opt.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "hios-sim:", err)
 		os.Exit(1)

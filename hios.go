@@ -174,10 +174,6 @@ type Options struct {
 	IOSMaxStage int
 	// IOSPruneWindow bounds the IOS frontier enumeration (0 = 8).
 	IOSPruneWindow int
-	// IOSWorkers bounds how many independent IOS blocks are solved
-	// concurrently. The schedule is byte-identical at any width; zero or
-	// one solves serially, negative is invalid.
-	IOSWorkers int
 }
 
 // Sentinel errors of Options.Validate. Match with errors.Is; the
@@ -190,8 +186,7 @@ var (
 	ErrNoGPUs = errors.New("hios: multi-GPU algorithm needs GPUs >= 1")
 	// ErrBadWindow reports a negative sliding-window size.
 	ErrBadWindow = errors.New("hios: negative window size")
-	// ErrBadIOSBound reports a negative IOS pruning bound or worker
-	// count.
+	// ErrBadIOSBound reports a negative IOS pruning bound.
 	ErrBadIOSBound = errors.New("hios: negative IOS bound")
 )
 
@@ -208,8 +203,8 @@ func (a Algorithm) multiGPU() bool {
 // Validate checks the options against the selected algorithm and
 // returns the first violation wrapped around one of the sentinel errors
 // above (nil when the configuration is valid). Zero values with
-// documented defaults — Window, IOSMaxStage, IOSPruneWindow, IOSWorkers,
-// and GPUs for single-GPU algorithms — are always valid. Optimize and every cmd/
+// documented defaults — Window, IOSMaxStage, IOSPruneWindow, and GPUs
+// for single-GPU algorithms — are always valid. Optimize and every cmd/
 // driver route their checking through here, so the rules live in one
 // place and callers can errors.Is-match the failure.
 func (o Options) Validate(algo Algorithm) error {
@@ -224,8 +219,8 @@ func (o Options) Validate(algo Algorithm) error {
 	if o.Window < 0 {
 		return fmt.Errorf("%w: %d", ErrBadWindow, o.Window)
 	}
-	if o.IOSMaxStage < 0 || o.IOSPruneWindow < 0 || o.IOSWorkers < 0 {
-		return fmt.Errorf("%w: IOSMaxStage=%d IOSPruneWindow=%d IOSWorkers=%d", ErrBadIOSBound, o.IOSMaxStage, o.IOSPruneWindow, o.IOSWorkers)
+	if o.IOSMaxStage < 0 || o.IOSPruneWindow < 0 {
+		return fmt.Errorf("%w: IOSMaxStage=%d IOSPruneWindow=%d", ErrBadIOSBound, o.IOSMaxStage, o.IOSPruneWindow)
 	}
 	return nil
 }
@@ -241,7 +236,7 @@ func Optimize(g *Graph, m CostModel, algo Algorithm, opt Options) (Result, error
 	case Sequential:
 		return seq.Schedule(g, m)
 	case IOS:
-		return ios.Schedule(g, m, ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow, Workers: opt.IOSWorkers})
+		return ios.Schedule(g, m, ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow})
 	case HIOSLP:
 		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, Window: opt.Window})
 	case HIOSMR:
@@ -342,7 +337,7 @@ func ResetSharedKernelCache() { costcache.Shared().Reset() }
 // solves by a canonical block signature (stage items, intra-block edges,
 // contention calibration and pruning options — never operator IDs), so a
 // structurally identical block costs one map lookup after its first
-// solve; see DESIGN.md "Pruned and memoized DP search".
+// solve; see DESIGN.md "DP state storage and memoized block solves".
 type BlockCacheStats = dpcache.Stats
 
 // SharedBlockCacheStats reports the shared block cache's snapshot.

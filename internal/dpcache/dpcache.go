@@ -143,15 +143,6 @@ func (s *Sig) Float(v float64) {
 	s.buf = binary.LittleEndian.AppendUint64(s.buf, math.Float64bits(v))
 }
 
-// Bool appends a flag.
-func (s *Sig) Bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	s.buf = append(s.buf, b)
-}
-
 // Bytes returns the signature built so far. The slice aliases the
 // builder's buffer; it is valid until the next append.
 func (s *Sig) Bytes() []byte { return s.buf }

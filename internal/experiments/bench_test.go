@@ -42,7 +42,7 @@ func BenchmarkSchedulerSequential(b *testing.B) { benchAlgo(b, AlgoSequential, 1
 func BenchmarkSchedulerIOS(b *testing.B)        { benchAlgo(b, AlgoIOS, 1) }
 
 // BenchmarkSchedulerIOSCold disables the shared block cache, so every
-// iteration pays the full pruned DP search: the cold-solve cost the warm
+// iteration pays the full DP search: the cold-solve cost the warm
 // BenchmarkSchedulerIOS amortizes away after its first iteration.
 func BenchmarkSchedulerIOSCold(b *testing.B) {
 	g := randdag.MustGenerate(benchGraphAndModel())

@@ -6,7 +6,6 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
-	"github.com/shus-lab/hios/internal/sched/ios"
 	"github.com/shus-lab/hios/internal/stats"
 )
 
@@ -25,11 +24,6 @@ type SimOptions struct {
 	// are merged in index order, so the figure is byte-identical at any
 	// width (see internal/parallel and DESIGN.md §7).
 	Workers int
-	// IOSWorkers bounds how many independent IOS blocks each scheduler
-	// invocation solves concurrently (ios.Options.Workers). Like Workers
-	// it never changes a figure byte: blocks are merged in block order.
-	// 0 or 1 solves serially.
-	IOSWorkers int
 }
 
 // DefaultSim returns the paper's §V-A settings.
@@ -47,7 +41,7 @@ func (o *SimOptions) fill() {
 // Validate reports the first structural violation of the sweep options.
 // Zero values are valid (they select the documented defaults).
 func (o SimOptions) Validate() error {
-	if o.Seeds < 0 || o.GPUs < 0 || o.Window < 0 || o.Workers < 0 || o.IOSWorkers < 0 {
+	if o.Seeds < 0 || o.GPUs < 0 || o.Window < 0 || o.Workers < 0 {
 		return fmt.Errorf("experiments: negative sim option: %+v", o)
 	}
 	return nil
@@ -126,7 +120,7 @@ func Fig7(opt SimOptions) (Figure, error) {
 			return cfg
 		},
 		func(x float64) RunConfig {
-			return RunConfig{GPUs: int(x), Window: opt.Window, IOS: ios.Options{Workers: opt.IOSWorkers}}
+			return RunConfig{GPUs: int(x), Window: opt.Window}
 		}, opt)
 }
 
@@ -186,7 +180,7 @@ func Fig11(opt SimOptions) (Figure, error) {
 func fixedRun(opt SimOptions) func(float64) RunConfig {
 	opt.fill()
 	return func(float64) RunConfig {
-		return RunConfig{GPUs: opt.GPUs, Window: opt.Window, IOS: ios.Options{Workers: opt.IOSWorkers}}
+		return RunConfig{GPUs: opt.GPUs, Window: opt.Window}
 	}
 }
 

@@ -48,9 +48,8 @@ func (s *solver) solveCached(g *graph.Graph, m cost.Model, block []graph.OpID, o
 // blockKey builds the canonical signature of this block solve in the
 // solver's reusable key buffer. Floats are exact bit patterns: the cache
 // memoizes exact computations, so two solves share a key only when every
-// input is bit-identical. Options.Workers and Options.NoCache are
-// deliberately absent — neither changes a block's solution (Workers only
-// fans independent blocks out; NoCache only routes around this cache).
+// input is bit-identical. Options.NoCache is deliberately absent: it only
+// routes around this cache and never changes a block's solution.
 func (s *solver) blockKey(g *graph.Graph, im cost.ItemModel, block []graph.OpID, opt Options) []byte {
 	b := len(block)
 	s.ensureInBlock(g.NumOps())
@@ -65,7 +64,6 @@ func (s *solver) blockKey(g *graph.Graph, im cost.ItemModel, block []graph.OpID,
 	sig.Int(opt.PruneWindow)
 	sig.Int(opt.ExactLimit)
 	sig.Int(opt.Beam)
-	sig.Bool(opt.NoPrune)
 	sig.Int(b)
 	for _, v := range block {
 		it := im.StageItem(v)

@@ -54,7 +54,6 @@ type dpState struct {
 	set      bitset
 	hash     uint64       // XOR of zobrist keys of the members
 	cost     units.Millis // best known dp[S]
-	work     units.Millis // Σ t·u along the best path (fast path; bounds pruning)
 	prev     int32        // done-slab index of the predecessor (-1 for the start)
 	stageOff int32        // stage range: pending arena while pending, done arena after
 	stageLen int32
@@ -160,22 +159,18 @@ type solver struct {
 	done      []dpState    // expanded states, in expansion order
 	doneArena []graph.OpID // stage storage of done states
 
-	front  []int          // frontier scratch
-	stage  []int          // current candidate stage (local indices)
-	probe  []graph.OpID   // candidate stage as graph IDs (generic path)
-	keep   []int32        // beam selection scratch
-	succs  [][]int        // local successor lists (chain bounds)
-	tails  []units.Millis // longest remaining dependency chain per local op
-	keyBuf []byte         // dpcache signature scratch (cache.go)
+	front  []int        // frontier scratch
+	stage  []int        // current candidate stage (local indices)
+	probe  []graph.OpID // candidate stage as graph IDs (generic path)
+	keep   []int32      // beam selection scratch
+	keyBuf []byte       // dpcache signature scratch (cache.go)
 
 	// Per-block context.
 	block    []graph.OpID
 	m        cost.Model
-	items    []cost.Item     // per local op (fast path); valid when fast
-	ct       cost.Contention // item fold (fast path)
-	fast     bool            // m implements cost.ItemModel
+	items    []cost.Item     // per local op (fast path only)
+	ct       cost.Contention // item fold (fast path only)
 	maxStage int
-	window   int
 
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
 	// members of s.stage; cur* are the expanding state's fields, copied
@@ -184,17 +179,8 @@ type solver struct {
 	nset     bitset
 	nhash    uint64
 	curCost  units.Millis
-	curWork  units.Millis
 	curDone  int32
 	curCount int32
-
-	// Incumbent pruning (fast path only; see solveBlock).
-	prune     bool         // incumbent threshold active
-	exactLB   bool         // lower-bound pruning active (exact mode only)
-	haveTails bool         // tails valid (block order was topological)
-	thr       units.Millis // incumbent cost threshold
-	totalWork units.Millis // Σ t·u over the whole block
-	didPrune  bool         // at least one state was actually discarded
 }
 
 // ensureInBlock sizes the OpID -> local-index map for a graph of n
@@ -240,11 +226,6 @@ func (s *solver) reset(n, b int, opt Options) {
 	s.done = s.done[:0]
 	s.doneArena = s.doneArena[:0]
 	s.maxStage = opt.MaxStage
-	s.window = opt.PruneWindow
-	s.prune = false
-	s.exactLB = false
-	s.haveTails = false
-	s.didPrune = false
 }
 
 // growNested resizes a slice of slices, keeping the inner backing arrays
@@ -261,9 +242,8 @@ func growNested[T any](buf [][]T, n int) [][]T {
 // transition records the candidate stage in s.stage as a DP transition
 // from the current expanding state: dp[S∪T] = min(dp[S∪T], dp[S] + t).
 // The target state's set and hash are already in nset/nhash (maintained by
-// the enumeration DFS); stageWork is the stage's Σ t·u (fast path; 0 on
-// the generic path, which never reads work).
-func (s *solver) transition(t, stageWork units.Millis) {
+// the enumeration DFS).
+func (s *solver) transition(t units.Millis) {
 	ncost := s.curCost + t
 	ncount := s.curCount + int32(len(s.stage))
 	pd := &s.ring[int(ncount)%len(s.ring)]
@@ -271,7 +251,6 @@ func (s *solver) transition(t, stageWork units.Millis) {
 		old := &pd.states[oi]
 		if ncost < old.cost {
 			old.cost = ncost
-			old.work = s.curWork + stageWork
 			old.prev = s.curDone
 			// Stage-slice interning: overwrite the state's arena range in
 			// place when the improved stage fits (ranges are exclusive per
@@ -298,7 +277,6 @@ func (s *solver) transition(t, stageWork units.Millis) {
 		set:      s.nset,
 		hash:     s.nhash,
 		cost:     ncost,
-		work:     s.curWork + stageWork,
 		prev:     s.curDone,
 		stageOff: off,
 		stageLen: int32(len(s.stage)),
@@ -330,7 +308,7 @@ func (s *solver) enumFast(fr []int, i int, maxT, work units.Millis, util float64
 		} else {
 			t = s.ct.Combine(nmaxT, nwork, nutil)
 		}
-		s.transition(t, nwork)
+		s.transition(t)
 		if len(s.stage) < s.maxStage && j+1 < len(fr) {
 			s.enumFast(fr, j+1, nmaxT, nwork, nutil)
 		}
@@ -352,7 +330,7 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.nhash ^= zobrist[li]
 		s.stage = append(s.stage, li)
 		s.probe = append(s.probe, s.block[li])
-		s.transition(s.m.StageTime(s.probe), 0)
+		s.transition(s.m.StageTime(s.probe))
 		if len(s.stage) < s.maxStage && j+1 < len(fr) {
 			s.enumGeneric(fr, j+1)
 		}
@@ -361,115 +339,6 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.nhash ^= zobrist[li]
 		s.nset.unset(li)
 	}
-}
-
-// dive runs one greedy completion from the empty state: every step
-// schedules the first min(width, len) frontier operators as one stage.
-// Each such stage is a candidate the DP enumeration itself generates
-// (width never exceeds MaxStage or PruneWindow), and each stage is priced
-// with the DP's own arithmetic, so the returned total is the exact cost
-// of a reachable DP path — a sound incumbent. Reports ok=false when the
-// dive dead-ends (a cyclic block), which disables pruning so the DP
-// surfaces the same error it always has.
-func (s *solver) dive(b, width int) (units.Millis, bool) {
-	var set bitset
-	var total units.Millis
-	for scheduled := 0; scheduled < b; {
-		s.front = frontierOf(set, s.preds[:b], b, s.front[:0])
-		if len(s.front) == 0 {
-			return 0, false
-		}
-		fr := s.front
-		if len(fr) > width {
-			fr = fr[:width]
-		}
-		var maxT, work units.Millis
-		var util float64
-		for _, li := range fr {
-			it := s.items[li]
-			maxT, work, util = s.ct.Accumulate(maxT, work, util, it.Time, it.Util)
-			set.set(li)
-		}
-		if len(fr) == 1 {
-			total += s.items[fr[0]].Time
-		} else {
-			total += s.ct.Combine(maxT, work, util)
-		}
-		scheduled += len(fr)
-	}
-	return total, true
-}
-
-// prepareBounds computes the per-operator completion lower bounds used by
-// exact-mode pruning: tails[i] is the longest dependency chain starting
-// at i (every chain member occupies a distinct later stage, and a stage
-// costs at least its longest member), and totalWork is the block's Σ t·u
-// (a stage costs at least its utilization-weighted work). Chain bounds
-// need the local order to be topological — true for Blocks output and
-// every schedule-derived sequence — and are skipped (not faked) when a
-// caller hands SolveSequence something stranger.
-func (s *solver) prepareBounds(b int) {
-	topo := true
-	for i := 0; i < b && topo; i++ {
-		for _, p := range s.preds[i] {
-			if p >= i {
-				topo = false
-				break
-			}
-		}
-	}
-	if topo {
-		s.succs = growNested(s.succs, b)
-		for i := range s.succs {
-			s.succs[i] = s.succs[i][:0]
-		}
-		for i := 0; i < b; i++ {
-			for _, p := range s.preds[i] {
-				s.succs[p] = append(s.succs[p], i)
-			}
-		}
-		if cap(s.tails) < b {
-			s.tails = make([]units.Millis, b)
-		}
-		s.tails = s.tails[:b]
-		for i := b - 1; i >= 0; i-- {
-			var best units.Millis
-			for _, j := range s.succs[i] {
-				if s.tails[j] > best {
-					best = s.tails[j]
-				}
-			}
-			s.tails[i] = s.items[i].Time + best
-		}
-		s.haveTails = true
-	}
-	var maxT, work units.Millis
-	var util float64
-	for _, it := range s.items {
-		maxT, work, util = s.ct.Accumulate(maxT, work, util, it.Time, it.Util)
-	}
-	s.totalWork = work
-}
-
-// lowerBound returns a completion lower bound for the expanding state:
-// the longest remaining dependency chain (rooted at a frontier operator —
-// every unscheduled operator sits below one) and the remaining
-// utilization-weighted work, whichever is larger. Both bounds are
-// "consistent" — they never exceed the true remaining cost by more than
-// float fold-order noise, which the incumbent margin absorbs.
-func (s *solver) lowerBound(stWork units.Millis) units.Millis {
-	var lb units.Millis
-	if s.haveTails {
-		for _, f := range s.front {
-			if s.tails[f] > lb {
-				lb = s.tails[f]
-			}
-		}
-	}
-	if rem := s.totalWork - stWork; rem > lb {
-		lb = rem
-	}
-	return lb
 }
 
 // selectBeam picks the beam cheapest states of the bucket under the
@@ -523,18 +392,6 @@ func siftDown(pd *pending, h []int32, i int) {
 // returned stage slices are freshly allocated (the solver's storage is
 // reused by the next block).
 //
-// For cost models satisfying the ItemModel contract the DP additionally
-// prunes with an incumbent bound: two greedy dives (stage width
-// min(MaxStage, PruneWindow), and width 1) provide an exact reachable-path
-// cost, and any state whose own cost — plus, in exact mode, a completion
-// lower bound — exceeds that incumbent (with a 1e-9 relative margin
-// absorbing float fold-order noise) is discarded unexpanded. Pruning is
-// exact, not approximate: a discarded state provably cannot change the
-// final (cost, back-pointer, stage) chain, and as a belt-and-braces
-// guarantee the solve reruns itself unpruned in the (never yet observed)
-// case that the pruned run finishes above the incumbent threshold. See
-// DESIGN.md §15 for the full invariant argument.
-//
 // solveBlock (not Schedule) is the hot-path root: the surrounding block
 // partition (Blocks) legitimately allocates its one-shot reachability
 // bitsets, while everything below runs once per DP state transition.
@@ -580,34 +437,11 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	}
 
 	im, fast := m.(cost.ItemModel)
-	s.fast = fast
 	if fast {
 		s.ct = im.Contention()
 		s.items = s.items[:0]
 		for _, v := range block {
 			s.items = append(s.items, im.StageItem(v))
-		}
-		if !opt.NoPrune {
-			// Incumbent pruning. Restricted to the item fast path: a
-			// greedy dive against a probe-counting model would add probes
-			// the unpruned DP never made and corrupt the Fig. 14
-			// profiling accounting.
-			w := min(opt.MaxStage, opt.PruneWindow)
-			inc1, ok1 := s.dive(b, w)
-			inc2, ok2 := s.dive(b, 1)
-			if ok1 && ok2 {
-				s.thr = min(inc1, inc2).Scale(1 + 1e-9)
-				s.prune = true
-				if beam == 0 {
-					// Lower-bound pruning discards live states and is only
-					// result-invariant when every state is otherwise
-					// expanded — i.e. in exact mode. Under a beam it could
-					// change which states the beam keeps, so beam mode
-					// prunes on accumulated cost alone.
-					s.exactLB = true
-					s.prepareBounds(b)
-				}
-			}
 		}
 	}
 
@@ -641,19 +475,9 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 				si = kept[k]
 			}
 			st := &pd.states[si]
-			if s.prune && st.cost > s.thr {
-				// Already above the best known completion: no descendant
-				// can improve any state the final schedule passes through.
-				s.didPrune = true
-				continue
-			}
 			s.front = frontierOf(st.set, s.preds[:b], b, s.front[:0])
 			if len(s.front) == 0 {
 				return nil, fmt.Errorf("ios: empty frontier with %d/%d scheduled (cyclic block?)", c, b)
-			}
-			if s.exactLB && st.cost+s.lowerBound(st.work) > s.thr {
-				s.didPrune = true
-				continue
 			}
 			// Move the expanding state to the done slab: its bucket is
 			// recycled after this count, but back-pointers must survive.
@@ -664,7 +488,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			ds.stageOff = doneOff
 			s.done = append(s.done, ds)
 
-			s.curCost, s.curWork, s.curDone, s.curCount = st.cost, st.work, di, int32(c)
+			s.curCost, s.curDone, s.curCount = st.cost, di, int32(c)
 			s.nset = st.set
 			s.nhash = st.hash
 			fr := s.front
@@ -688,15 +512,6 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	}
 	fullPd := &s.ring[b%len(s.ring)]
 	end := fullPd.find(fh, &full)
-	if s.didPrune && (end < 0 || fullPd.states[end].cost > s.thr) {
-		// The pruned search finished above its own incumbent threshold —
-		// only possible when a beam cut every path below the incumbent, in
-		// which case the pruned and unpruned searches may diverge. Solve
-		// again without pruning so the result is identical to the
-		// pre-pruning DP by construction.
-		opt.NoPrune = true
-		return s.solveBlock(g, m, block, opt)
-	}
 	if end < 0 {
 		return nil, fmt.Errorf("ios: dynamic program did not reach the full state (beam too narrow?)")
 	}

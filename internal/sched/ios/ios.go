@@ -36,7 +36,6 @@ import (
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
-	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/sched"
 )
 
@@ -54,20 +53,9 @@ type Options struct {
 	// Beam bounds the number of DP states kept per scheduled-operator
 	// count in blocks wider than ExactLimit. Zero means 32.
 	Beam int
-	// Workers bounds how many blocks Schedule solves concurrently.
-	// Blocks are independent subproblems, and the per-block results are
-	// merged in block order, so the schedule is byte-identical at any
-	// width. Zero or one solves serially (the default); negative is
-	// invalid.
-	Workers int
-	// NoPrune disables the incumbent-bound pruning of the dynamic
-	// program. Pruning is exact — it never changes the returned
-	// schedule — so this knob exists for differential testing and
-	// cold-path benchmarking, not for quality.
-	NoPrune bool
 	// NoCache bypasses the process-wide block-solve cache
 	// (internal/dpcache). Cached solves are bit-identical replays, so
-	// this knob too exists only for differential testing and cold-path
+	// this knob exists only for differential testing and cold-path
 	// benchmarking.
 	NoCache bool
 }
@@ -77,9 +65,6 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.MaxStage < 0 || o.PruneWindow < 0 || o.ExactLimit < 0 || o.Beam < 0 {
 		return fmt.Errorf("ios: negative pruning bound: %+v", o)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("ios: negative worker count %d", o.Workers)
 	}
 	return nil
 }
@@ -111,36 +96,14 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	if n == 0 {
 		return sched.Result{Schedule: s, Latency: 0}, nil
 	}
-	blocks := Blocks(g)
-	if opt.Workers > 1 && len(blocks) > 1 {
-		// Blocks are independent subproblems (only intra-block edges
-		// constrain the DP), so they fan out on the deterministic worker
-		// pool: parallel.Map returns results in index order whatever the
-		// execution interleaving, and a block's solution is a pure
-		// function of the block (racing dpcache fills are bit-identical),
-		// so the appended schedule is byte-identical at any width.
-		results, err := parallel.Map(len(blocks), opt.Workers, func(i int) ([][]graph.OpID, error) {
-			var sv solver
-			return sv.solveCached(g, m, blocks[i], opt)
-		})
+	var sv solver // scratch shared by every block of this call
+	for _, block := range Blocks(g) {
+		stages, err := sv.solveCached(g, m, block, opt)
 		if err != nil {
 			return sched.Result{}, err
 		}
-		for _, stages := range results {
-			for _, st := range stages {
-				s.AppendStage(0, st)
-			}
-		}
-	} else {
-		var sv solver // scratch shared by every block of this call
-		for _, block := range blocks {
-			stages, err := sv.solveCached(g, m, block, opt)
-			if err != nil {
-				return sched.Result{}, err
-			}
-			for _, st := range stages {
-				s.AppendStage(0, st)
-			}
+		for _, st := range stages {
+			s.AppendStage(0, st)
 		}
 	}
 	lat, err := sched.Latency(g, m, s)
@@ -160,6 +123,9 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 // which is exactly the paper's argument for the sliding window — and the
 // resulting global schedule may even deadlock; callers must validate it.
 func SolveSequence(g *graph.Graph, m cost.Model, ops []graph.OpID, opt Options) ([][]graph.OpID, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	opt.fill()
 	if len(ops) == 0 {
 		return nil, nil

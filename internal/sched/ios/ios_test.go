@@ -250,6 +250,20 @@ func TestMaxStageRespected(t *testing.T) {
 	}
 }
 
+// TestSolveSequenceRejectsNegativeBounds: SolveSequence validates its
+// options exactly as Schedule does, so a negative bound is an error, not
+// a panic deep in the DP.
+func TestSolveSequenceRejectsNegativeBounds(t *testing.T) {
+	g := diamond(t)
+	m := cost.FromGraph(g, cost.DefaultContention())
+	ops := g.ByPriority()
+	for _, opt := range []Options{{MaxStage: -1}, {PruneWindow: -1}, {ExactLimit: -1}, {Beam: -1}} {
+		if _, err := SolveSequence(g, m, ops, opt); err == nil {
+			t.Errorf("SolveSequence(%+v) accepted a negative bound", opt)
+		}
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := graph.New(0, 0)
 	g.MustFinalize()
