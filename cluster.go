@@ -3,7 +3,6 @@ package hios
 import (
 	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/experiments"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/specflag"
 )
 
@@ -148,7 +147,7 @@ func NodeSpecParser() *SpecParser[ClusterNodeSpec] { return specflag.Node() }
 
 // ServePolicyUsage renders the dispatch policies as a one-line flag
 // usage string, enumerated from the policy registry.
-func ServePolicyUsage() string { return serve.PolicyUsage() }
+func ServePolicyUsage() string { return cluster.ServePolicyUsage() }
 
 // RouterPolicyUsage renders the router policies as a one-line flag
 // usage string, enumerated from the router registry.

@@ -162,7 +162,7 @@ func (e *engine) tick(now units.Millis) {
 	}
 	next := now + a.Interval
 	if next < e.o.Horizon {
-		e.events.Push(next, cev{kind: evTick})
+		e.events.Push(next, event{kind: evTick})
 	}
 }
 
@@ -176,8 +176,8 @@ func (e *engine) scale(ni, di, target int, now units.Millis) {
 	e.scales = append(e.scales, ScaleEvent{T: now, Node: ni, Deployment: di, From: p.live, To: target})
 	p.cooldownUntil = now + e.o.Autoscaler.Cooldown
 	if target > p.live {
-		p.idle.Push(p.next)
-		p.next++
+		p.idle.Push(len(p.starts))
+		p.starts = append(p.starts, 0)
 		p.target = target
 		p.setLive(target, now)
 		e.dispatch(ni, di, now)

@@ -1,26 +1,32 @@
-// Package cluster is the fleet-scale serving control plane of the HIOS
-// reproduction: a deterministic discrete-event simulator of many
-// heterogeneous GPU nodes serving deadline-aware multi-tenant traffic
-// behind one gateway.
+// Package cluster is the online serving layer of the HIOS reproduction:
+// one deterministic discrete-event engine serving deadline-aware,
+// multi-tenant traffic on anything from a single node to a
+// heterogeneous GPU fleet behind one gateway.
 //
-// internal/serve answers the single-node question — one deployment of
-// identical replicas, one dispatch queue. A production cluster answers
-// three more (the aibrix / kthena architecture split): which node should
-// a request run on (the *router*), how many replicas should each node
-// hold (the *autoscaler*), and which requests should never be admitted
-// at all (gateway *admission control*). This package models exactly
-// those three components over a fleet of nodes built from the paper's
-// platform presets (A40, A5500, V100S) — the same model is scheduled by
-// HIOS-LP/MR per platform, so a V100S node serves the same deployment
-// with a different latency/period profile than an A40 node, and the
-// router's cost/latency tradeoff is real.
+// The paper answers an offline question — one request, one schedule, one
+// latency. A deployment answers an online one, and a deployed model is
+// characterized by the two numbers the pipeline analysis derives from
+// its schedule — the single-request latency L and the steady-state
+// admission period P — so scheduler quality (lower L, lower P) is
+// directly visible as serving capacity and SLO attainment. A fleet adds
+// three control-plane questions (the aibrix / kthena architecture
+// split): which node should a request run on (the *router*), how many
+// replicas should each node hold (the *autoscaler*), and which requests
+// should never be admitted at all (gateway *admission control*). Run
+// models those three components over a fleet of nodes built from the
+// paper's platform presets (A40, A5500, V100S) — the same model is
+// scheduled by HIOS-LP/MR per platform, so a V100S node serves the same
+// deployment with a different latency/period profile than an A40 node,
+// and the router's cost/latency tradeoff is real. Serve is the
+// degenerate case: one node with one pool per model, no gateway limits
+// and no autoscaler.
 //
-// The simulator obeys the repository's determinism contract (DESIGN.md
+// The engine obeys the repository's determinism contract (DESIGN.md
 // §7, §9, §14): no wall clock, no global RNG; arrivals draw from
 // rand.Rand streams seeded via stats.MixSeed, events are totally ordered
-// by (time, sequence) on the serve.EventHeap, and every report slice is
-// emitted in deterministic order — the same Options always render a
-// byte-identical Report.
+// by (time, sequence) on one event heap, and every report slice is
+// emitted in deterministic order — the same options always render a
+// byte-identical report.
 package cluster
 
 import (
@@ -28,14 +34,56 @@ import (
 	"fmt"
 
 	"github.com/shus-lab/hios/internal/gpu"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/units"
 )
 
-// Tenant is one request class sharing the cluster: an arrival process
-// plus a relative deadline. Identical to the single-node serving layer's
-// tenant; Model indexes Options.Deployments.
-type Tenant = serve.Tenant
+// Tenant is one request class sharing the deployment: an arrival process
+// plus a relative deadline (the tenant's SLO). Exactly one of Rate
+// (open-loop) and Clients (closed-loop) must be positive.
+type Tenant struct {
+	// Name labels the tenant in reports.
+	Name string
+	// Model indexes Options.Deployments (ServeOptions.Models for Serve):
+	// the deployment this tenant's requests run on.
+	Model int
+	// Deadline is the relative deadline of every request: a request
+	// arriving at t meets its SLO iff it completes by t + Deadline.
+	Deadline units.Millis
+	// Rate, when positive, makes the tenant open-loop: a Poisson
+	// process with this mean arrival rate in requests per second.
+	Rate float64
+	// Clients, when positive, makes the tenant closed-loop: this many
+	// clients, each issuing one request, waiting for its completion (or
+	// shedding), thinking for an exponential time with mean Think, and
+	// issuing again.
+	Clients int
+	// Think is the closed-loop mean think time (0 = reissue
+	// immediately).
+	Think units.Millis
+}
+
+// validateTenants applies the tenant rules Options.Validate and
+// ServeOptions.Validate share: a model index below n, a positive
+// deadline, no negative parameter, and exactly one arrival process. noun
+// names what Model indexes; bad is the caller's sentinel.
+func validateTenants(ts []Tenant, n int, noun string, bad error) error {
+	for i, t := range ts {
+		if t.Model < 0 || t.Model >= n {
+			return fmt.Errorf("%w: tenant %d (%s) references %s %d of %d", bad, i, t.Name, noun, t.Model, n)
+		}
+		if t.Deadline <= 0 {
+			return fmt.Errorf("%w: tenant %d (%s) needs a positive deadline", bad, i, t.Name)
+		}
+		if t.Rate < 0 || t.Clients < 0 || t.Think < 0 {
+			return fmt.Errorf("%w: tenant %d (%s) has a negative rate, client count or think time", bad, i, t.Name)
+		}
+		open, closed := t.Rate > 0, t.Clients > 0
+		if open == closed {
+			return fmt.Errorf("%w: tenant %d (%s) must be exactly one of open-loop (Rate > 0) or closed-loop (Clients > 0)", bad, i, t.Name)
+		}
+	}
+	return nil
+}
 
 // Preset couples a fleet platform key with the paper's dual-GPU testbed
 // it provisions and a relative cost rate — the price of keeping one node
@@ -102,7 +150,7 @@ var (
 	// ErrNoTenants reports an Options with no tenants.
 	ErrNoTenants = errors.New("cluster: no tenants")
 	// ErrBadTenant reports a structurally invalid tenant (same rules as
-	// the single-node serving layer).
+	// ServeOptions.Validate).
 	ErrBadTenant = errors.New("cluster: bad tenant")
 	// ErrUnknownRouterPolicy reports a RouterPolicy outside the registry.
 	ErrUnknownRouterPolicy = errors.New("cluster: unknown router policy")
@@ -193,14 +241,14 @@ type Profile struct {
 	// Period is the steady-state admission interval (<= Latency).
 	Period units.Millis
 	// Busy is the total per-request GPU busy time across the replica's
-	// devices (0 = Latency is charged instead).
+	// devices; the report charges it once per start.
 	Busy units.Millis
 }
 
-// ProfileOf converts a single-node serving model derived for the given
-// platform (serve.NewModel on a schedule computed with that platform's
-// cost model) into a cluster profile.
-func ProfileOf(platform string, m serve.Model) Profile {
+// ProfileOf converts a serving model derived for the given platform
+// (NewServeModel on a schedule computed with that platform's cost model)
+// into a cluster profile.
+func ProfileOf(platform string, m ServeModel) Profile {
 	var busy units.Millis
 	for _, b := range m.GPUBusy {
 		busy += b
@@ -349,20 +397,8 @@ func (o Options) Validate() error {
 	if len(o.Tenants) == 0 {
 		return ErrNoTenants
 	}
-	for i, t := range o.Tenants {
-		if t.Model < 0 || t.Model >= len(o.Deployments) {
-			return fmt.Errorf("%w: tenant %d (%s) references deployment %d of %d", ErrBadTenant, i, t.Name, t.Model, len(o.Deployments))
-		}
-		if t.Deadline <= 0 {
-			return fmt.Errorf("%w: tenant %d (%s) needs a positive deadline", ErrBadTenant, i, t.Name)
-		}
-		if t.Rate < 0 || t.Clients < 0 || t.Think < 0 {
-			return fmt.Errorf("%w: tenant %d (%s) has a negative rate, client count or think time", ErrBadTenant, i, t.Name)
-		}
-		open, closed := t.Rate > 0, t.Clients > 0
-		if open == closed {
-			return fmt.Errorf("%w: tenant %d (%s) must be exactly one of open-loop (Rate > 0) or closed-loop (Clients > 0)", ErrBadTenant, i, t.Name)
-		}
+	if err := validateTenants(o.Tenants, len(o.Deployments), "deployment", ErrBadTenant); err != nil {
+		return err
 	}
 	if o.Router != "" && !RouterRegistry.Valid(o.Router) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownRouterPolicy, string(o.Router), RouterPolicies())

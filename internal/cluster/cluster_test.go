@@ -6,14 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/units"
 )
 
 // serveModel is a synthetic single-node model whose ProfileOf conversion
 // matches the a40 row of testDeployment.
-func serveModel() serve.Model {
-	return serve.Model{Name: "m", Latency: 4, Period: 2, GPUBusy: []units.Millis{1.5, 1.5}}
+func serveModel() ServeModel {
+	return ServeModel{Name: "m", Latency: 4, Period: 2, GPUBusy: []units.Millis{1.5, 1.5}}
 }
 
 // testDeployment is a synthetic deployment with a profile per preset:
@@ -429,7 +428,7 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-// TestProfileOf converts a serve.Model into a platform profile.
+// TestProfileOf converts a ServeModel into a platform profile.
 func TestProfileOf(t *testing.T) {
 	p := ProfileOf("a40", serveModel())
 	if p.Platform != "a40" || p.Latency != 4 || p.Period != 2 || p.Busy != 3 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -23,7 +22,6 @@ type request struct {
 	tenant   int
 	index    int // per-tenant issue order
 	client   int // closed-loop client index, -1 for open-loop
-	node     int // routed node, -1 until admitted
 	arrive   units.Millis
 	deadline units.Millis // absolute: arrive + tenant deadline
 	finish   units.Millis
@@ -40,28 +38,27 @@ const (
 	evTick          // the autoscaler evaluates every pool
 )
 
-// cev is the cluster event payload; the (time, sequence) total-order key
-// lives in serve.EventHeap, shared with the single-node engine.
-type cev struct {
-	kind    int
-	req     int // evArrive, evDone
-	node    int // evFree
-	dep     int // evFree
-	replica int // evFree
+// event is the heap payload; the (time, sequence) total-order key lives
+// in the eventHeap.
+type event struct {
+	kind      int32
+	node, dep int32 // evDone, evFree: the pool
+	ref       int   // evArrive, evDone: the request; evFree: the replica
 }
 
 // pool is one (node, deployment) replica set: the unit the router
 // targets and the autoscaler scales.
 type pool struct {
 	prof   Profile
-	queue  serve.RequestQueue
-	idle   serve.ReplicaHeap
+	queue  requestQueue
+	idle   replicaHeap
 	live   int // current replica count
 	target int // autoscaler's desired count (live catches up lazily)
-	next   int // next fresh replica index for scale-up
 	peak   int
 
-	starts int // requests admitted by this pool
+	// starts[i] counts the requests replica i admitted; len(starts) is
+	// the next fresh replica index for scale-up.
+	starts []int
 
 	// Replica-time integration for cost accounting: replicaMs
 	// accumulates live replica-milliseconds up to lastChange.
@@ -89,9 +86,35 @@ type pool struct {
 	cooldownUntil units.Millis
 }
 
+// newPool returns a pool of reps idle replicas serving prof. fifo
+// queues in arrival order instead of by deadline (Serve's fifo policy);
+// a non-nil autoscaler allocates the pool's sliding windows.
+func newPool(prof Profile, reps int, fifo bool, a *AutoscalerOptions) pool {
+	p := pool{prof: prof, queue: requestQueue{byDeadline: !fifo}, starts: make([]int, reps)}
+	if a != nil {
+		p.depthWin = make([]float64, a.Window)
+		p.doneWin = make([]int, a.Window)
+		p.metWin = make([]int, a.Window)
+	}
+	for rp := 0; rp < reps; rp++ {
+		p.idle.Push(rp)
+	}
+	p.live, p.target, p.peak = reps, reps, reps
+	return p
+}
+
 // outstanding returns queued plus in-service requests: the router's load
 // signal and the autoscaler's concurrency signal.
 func (p *pool) outstanding() int { return p.queue.Len() + p.live - p.idle.Len() }
+
+// admitted returns the requests the pool started across all replicas.
+func (p *pool) admitted() int {
+	n := 0
+	for _, s := range p.starts {
+		n += s
+	}
+	return n
+}
 
 // touch integrates the outstanding depth up to now. Called before every
 // mutation that changes the depth; zero-elapsed calls are no-ops.
@@ -118,25 +141,76 @@ type node struct {
 	pools  []pool
 }
 
-// engine is the running cluster simulation state.
+// engine is the running simulation state, shared by Run and Serve.
 type engine struct {
 	o      Options
 	nodes  []node
 	reqs   []request
 	issued []int // per-tenant issue counter
-	events serve.EventHeap[cev]
+	events eventHeap[event]
 	qseq   int // enqueue sequence counter
-	depth  int // cluster-wide queued requests (gateway shedding signal)
+	depth  int // queued requests across all pools (gateway shedding signal)
 	popped int64
-	points []serve.QueuePoint
+	points []QueuePoint
 	scales []ScaleEvent
 	rngs   []*rand.Rand // per-tenant arrival streams
-	rng    *rand.Rand   // router stream (random policy)
-	aff    []int        // per-tenant affinity node
+	rng    *rand.Rand   // router stream (random policy only)
+	aff    []int        // per-tenant affinity node (affinity policy only)
 
 	// Token bucket (enabled when o.Admission.RatePerSec > 0).
 	tokens     float64
 	lastRefill units.Millis
+}
+
+// newEngine seeds a simulation of the filled options o over the
+// flattened nodes: every tenant's arrival process, then the router's
+// streams, then the first autoscaler tick. The streams are
+// splitmix64-separated from o.Seed — one per tenant for arrivals, then
+// the random router's, then one affinity draw per tenant — so adding
+// tenants never perturbs earlier streams.
+func newEngine(o Options, nodes []node) *engine {
+	nt := len(o.Tenants)
+	e := &engine{
+		o:      o,
+		nodes:  nodes,
+		issued: make([]int, nt),
+		rngs:   make([]*rand.Rand, nt),
+		tokens: float64(o.Admission.Burst),
+	}
+	for ti, t := range o.Tenants {
+		e.rngs[ti] = rand.New(rand.NewSource(stats.MixSeed(o.Seed, ti)))
+		if t.Rate > 0 {
+			// Open-loop: pre-draw the whole Poisson arrival sequence.
+			mean := units.Millis(1e3 / t.Rate)
+			at := expMillis(e.rngs[ti], mean)
+			for at < o.Horizon {
+				e.newRequest(ti, -1, at)
+				at += expMillis(e.rngs[ti], mean)
+			}
+		} else {
+			// Closed-loop: every client starts in think state.
+			for c := 0; c < t.Clients; c++ {
+				at := expMillis(e.rngs[ti], t.Think)
+				if at < o.Horizon {
+					e.newRequest(ti, c, at)
+				}
+			}
+		}
+	}
+	switch o.Router {
+	case RouterRandom:
+		e.rng = rand.New(rand.NewSource(stats.MixSeed(o.Seed, nt)))
+	case RouterAffinity:
+		e.aff = make([]int, nt)
+		for ti := range e.aff {
+			h := stats.MixSeed(o.Seed, nt+1+ti)
+			e.aff[ti] = int((uint64(h) >> 1) % uint64(len(nodes)))
+		}
+	}
+	if o.Autoscaler.Enabled {
+		e.events.Push(o.Autoscaler.Interval, event{kind: evTick})
+	}
+	return e
 }
 
 // newRequest creates a request arriving at the given time and schedules
@@ -148,13 +222,12 @@ func (e *engine) newRequest(tenant, client int, at units.Millis) {
 		tenant:   tenant,
 		index:    e.issued[tenant],
 		client:   client,
-		node:     -1,
 		arrive:   at,
 		deadline: at + t.Deadline,
 		state:    stQueued,
 	})
 	e.issued[tenant]++
-	e.events.Push(at, cev{kind: evArrive, req: ri})
+	e.events.Push(at, event{kind: evArrive, ref: ri})
 }
 
 // expMillis draws an exponential duration with the given mean.
@@ -210,8 +283,8 @@ func (e *engine) shed(ri, state int, now units.Millis) {
 // dispatch matches idle replicas of pool (ni, di) with its queued
 // requests at time now, shedding hopeless requests first when the
 // gateway is configured to. This is the per-event inner loop of the
-// cluster simulator — the router feeds it and the free/scale events
-// re-enter it — and the package's hot-path root.
+// engine — the router feeds it and the free/scale events re-enter it —
+// and the package's hot-path root.
 //
 //lint:hotpath
 func (e *engine) dispatch(ni, di int, now units.Millis) {
@@ -231,9 +304,9 @@ func (e *engine) dispatch(ni, di int, now units.Millis) {
 		}
 		rep := p.idle.Pop()
 		r.state = stRunning
-		p.starts++
-		e.events.Push(now+p.prof.Latency, cev{kind: evDone, req: ri})
-		e.events.Push(now+p.prof.Period, cev{kind: evFree, node: ni, dep: di, replica: rep})
+		p.starts[rep]++
+		e.events.Push(now+p.prof.Latency, event{kind: evDone, node: int32(ni), dep: int32(di), ref: ri})
+		e.events.Push(now+p.prof.Period, event{kind: evFree, node: int32(ni), dep: int32(di), ref: rep})
 	}
 }
 
@@ -252,89 +325,12 @@ func (e *engine) recordDepth(now units.Millis) {
 	} else if e.depth == 0 {
 		return
 	}
-	e.points = append(e.points, serve.QueuePoint{T: now, Depth: e.depth})
+	e.points = append(e.points, QueuePoint{T: now, Depth: e.depth})
 }
 
-// Run simulates the cluster described by opt and returns its report.
-// The same Options always produce the same Report.
-func Run(opt Options) (*Report, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	opt.fill()
-
-	e := &engine{
-		o:      opt,
-		issued: make([]int, len(opt.Tenants)),
-		rngs:   make([]*rand.Rand, len(opt.Tenants)),
-		tokens: float64(opt.Admission.Burst),
-	}
-	// Flatten the fleet: node groups expand to individual nodes in
-	// declaration order, each holding one pool per deployment.
-	for _, ns := range opt.Fleet.Nodes {
-		preset, _ := PresetByKey(ns.Platform)
-		for c := 0; c < ns.Count; c++ {
-			nd := node{preset: preset, pools: make([]pool, len(opt.Deployments))}
-			for di, d := range opt.Deployments {
-				prof, _ := d.profile(ns.Platform)
-				p := &nd.pools[di]
-				p.prof = prof
-				p.queue = serve.RequestQueue{ByDeadline: true}
-				reps := ns.Replicas
-				if a := &opt.Autoscaler; a.Enabled {
-					if reps < a.MinReplicas {
-						reps = a.MinReplicas
-					}
-					if reps > a.MaxReplicas {
-						reps = a.MaxReplicas
-					}
-					p.depthWin = make([]float64, a.Window)
-					p.doneWin = make([]int, a.Window)
-					p.metWin = make([]int, a.Window)
-				}
-				for rp := 0; rp < reps; rp++ {
-					p.idle.Push(rp)
-				}
-				p.live, p.target, p.next, p.peak = reps, reps, reps, reps
-			}
-			e.nodes = append(e.nodes, nd)
-		}
-	}
-
-	// Seed streams: one per tenant for arrivals, then the router stream,
-	// then one affinity draw per tenant — all splitmix64-separated from
-	// Options.Seed so adding tenants never perturbs earlier streams.
-	nt := len(opt.Tenants)
-	for ti, t := range opt.Tenants {
-		e.rngs[ti] = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, ti)))
-		if t.Rate > 0 {
-			// Open-loop: pre-draw the whole Poisson arrival sequence.
-			mean := units.Millis(1e3 / t.Rate)
-			at := expMillis(e.rngs[ti], mean)
-			for at < opt.Horizon {
-				e.newRequest(ti, -1, at)
-				at += expMillis(e.rngs[ti], mean)
-			}
-		} else {
-			// Closed-loop: every client starts in think state.
-			for c := 0; c < t.Clients; c++ {
-				at := expMillis(e.rngs[ti], t.Think)
-				if at < opt.Horizon {
-					e.newRequest(ti, c, at)
-				}
-			}
-		}
-	}
-	e.rng = rand.New(rand.NewSource(stats.MixSeed(opt.Seed, nt)))
-	e.aff = make([]int, nt)
-	for ti := range e.aff {
-		h := stats.MixSeed(opt.Seed, nt+1+ti)
-		e.aff[ti] = int((uint64(h) >> 1) % uint64(len(e.nodes)))
-	}
-	if opt.Autoscaler.Enabled {
-		e.events.Push(opt.Autoscaler.Interval, cev{kind: evTick})
-	}
-
+// run drains the event loop and returns the makespan: the time the last
+// event fired.
+func (e *engine) run() (units.Millis, error) {
 	var makespan units.Millis
 	for e.events.Len() > 0 {
 		now, ev := e.events.Pop()
@@ -344,18 +340,17 @@ func Run(opt Options) (*Report, error) {
 		}
 		switch ev.kind {
 		case evArrive:
-			if !e.admit(ev.req, now) {
+			if !e.admit(ev.ref, now) {
 				break
 			}
-			r := &e.reqs[ev.req]
+			r := &e.reqs[ev.ref]
 			r.qseq = e.qseq
 			e.qseq++
 			di := e.o.Tenants[r.tenant].Model
 			ni := e.route(r.tenant, di)
-			r.node = ni
 			p := &e.nodes[ni].pools[di]
 			p.touch(now)
-			p.queue.Push(r.deadline, r.qseq, ev.req)
+			p.queue.Push(r.deadline, r.qseq, ev.ref)
 			e.depth++
 			e.dispatch(ni, di, now)
 		case evFree:
@@ -367,13 +362,13 @@ func Run(opt Options) (*Report, error) {
 				p.setLive(p.live-1, now)
 				break
 			}
-			p.idle.Push(ev.replica)
-			e.dispatch(ev.node, ev.dep, now)
+			p.idle.Push(ev.ref)
+			e.dispatch(int(ev.node), int(ev.dep), now)
 		case evDone:
-			r := &e.reqs[ev.req]
+			r := &e.reqs[ev.ref]
 			r.state = stDone
 			r.finish = now
-			p := &e.nodes[r.node].pools[e.o.Tenants[r.tenant].Model]
+			p := &e.nodes[ev.node].pools[ev.dep]
 			p.done++
 			if r.finish <= r.deadline {
 				p.met++
@@ -386,8 +381,46 @@ func Run(opt Options) (*Report, error) {
 	}
 	for i := range e.reqs {
 		if st := e.reqs[i].state; st == stQueued || st == stRunning {
-			return nil, fmt.Errorf("cluster: internal error: request %d ended in state %d", i, st)
+			return 0, fmt.Errorf("cluster: internal error: request %d ended in state %d", i, st)
 		}
+	}
+	return makespan, nil
+}
+
+// Run simulates the cluster described by opt and returns its report.
+// The same Options always produce the same Report.
+func Run(opt Options) (*Report, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	opt.fill()
+
+	// Flatten the fleet: node groups expand to individual nodes in
+	// declaration order, each holding one pool per deployment.
+	var nodes []node
+	var scaler *AutoscalerOptions
+	if a := &opt.Autoscaler; a.Enabled {
+		scaler = a
+	}
+	for _, ns := range opt.Fleet.Nodes {
+		preset, _ := PresetByKey(ns.Platform)
+		reps := ns.Replicas
+		if scaler != nil {
+			reps = min(max(reps, scaler.MinReplicas), scaler.MaxReplicas)
+		}
+		for c := 0; c < ns.Count; c++ {
+			nd := node{preset: preset, pools: make([]pool, len(opt.Deployments))}
+			for di, d := range opt.Deployments {
+				prof, _ := d.profile(ns.Platform)
+				nd.pools[di] = newPool(prof, reps, false, scaler)
+			}
+			nodes = append(nodes, nd)
+		}
+	}
+	e := newEngine(opt, nodes)
+	makespan, err := e.run()
+	if err != nil {
+		return nil, err
 	}
 	return e.report(makespan), nil
 }

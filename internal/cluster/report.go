@@ -5,10 +5,27 @@ import (
 	"io"
 	"sort"
 
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
+
+// TenantReport is one tenant's slice of a serving report.
+type TenantReport struct {
+	Name          string
+	Model         int
+	Offered       int
+	Completed     int
+	SLOMet        int
+	Shed          int
+	Attainment    float64
+	P50, P95, P99 units.Millis
+}
+
+// QueuePoint is one step of the queue-depth timeline.
+type QueuePoint struct {
+	T     units.Millis
+	Depth int
+}
 
 // Report summarizes one cluster simulation: SLO attainment, goodput,
 // tail latency, per-tenant and per-pool breakdowns, the scaling
@@ -46,14 +63,14 @@ type Report struct {
 	// relative cost rate, summed.
 	CostUnits float64
 	// Tenants breaks the counters down per tenant, in Options order.
-	Tenants []serve.TenantReport
+	Tenants []TenantReport
 	// Nodes reports each (node, deployment) pool, in node order then
 	// deployment order.
 	Nodes []NodeReport
 	// Scales is the autoscaler's decision timeline, in event order.
 	Scales []ScaleEvent
 	// Queue is the cluster-wide queued-request depth over time.
-	Queue []serve.QueuePoint
+	Queue []QueuePoint
 }
 
 // NodeReport is one (node, deployment) replica pool's slice of the
@@ -91,42 +108,43 @@ type ScaleEvent struct {
 	To   int
 }
 
-// report assembles the Report from the drained engine state.
-func (e *engine) report(makespan units.Millis) *Report {
-	r := &Report{
-		Router:   e.o.Router,
-		Horizon:  e.o.Horizon,
-		Makespan: makespan,
-		Events:   e.popped,
-		Tenants:  make([]serve.TenantReport, len(e.o.Tenants)),
-		Scales:   e.scales,
-		Queue:    e.points,
-	}
-	for ti, t := range e.o.Tenants {
-		r.Tenants[ti] = serve.TenantReport{Name: t.Name, Model: t.Model}
-	}
+// tally is the request accounting both reports share: the counters, the
+// response-time percentiles over completed requests and the per-tenant
+// rows.
+type tally struct {
+	offered, admitted, completed, met, shed int
+	attainment, goodput                     float64
+	p50, p95, p99, max                      units.Millis
+	tenants                                 []TenantReport
+}
 
+// tally accounts every request of the drained engine.
+func (e *engine) tally(makespan units.Millis) tally {
+	t := tally{tenants: make([]TenantReport, len(e.o.Tenants))}
+	for ti, tn := range e.o.Tenants {
+		t.tenants[ti] = TenantReport{Name: tn.Name, Model: tn.Model}
+	}
 	var all []float64
 	per := make([][]float64, len(e.o.Tenants))
 	for i := range e.reqs {
 		req := &e.reqs[i]
-		tr := &r.Tenants[req.tenant]
-		r.Offered++
+		tr := &t.tenants[req.tenant]
+		t.offered++
 		tr.Offered++
 		switch req.state {
 		case stShedGateway:
-			r.Shed++
+			t.shed++
 			tr.Shed++
 		case stShedHopeless:
-			r.Admitted++
-			r.Shed++
+			t.admitted++
+			t.shed++
 			tr.Shed++
 		case stDone:
-			r.Admitted++
-			r.Completed++
+			t.admitted++
+			t.completed++
 			tr.Completed++
 			if req.finish <= req.deadline {
-				r.SLOMet++
+				t.met++
 				tr.SLOMet++
 			}
 			resp := float64(req.finish - req.arrive)
@@ -135,33 +153,65 @@ func (e *engine) report(makespan units.Millis) *Report {
 		}
 	}
 
-	r.Attainment = attainment(r.SLOMet, r.Offered)
+	t.attainment = attainment(t.met, t.offered)
 	if makespan > 0 {
-		r.GoodputPerSec = float64(r.SLOMet) * 1e3 / float64(makespan)
+		t.goodput = float64(t.met) * 1e3 / float64(makespan)
 	}
 	sort.Float64s(all)
-	r.P50 = units.Millis(stats.Percentile(all, 50))
-	r.P95 = units.Millis(stats.Percentile(all, 95))
-	r.P99 = units.Millis(stats.Percentile(all, 99))
-	r.Max = units.Millis(stats.Max(all))
-	if len(all) == 0 {
-		r.Max = 0
+	t.p50 = units.Millis(stats.Percentile(all, 50))
+	t.p95 = units.Millis(stats.Percentile(all, 95))
+	t.p99 = units.Millis(stats.Percentile(all, 99))
+	if len(all) > 0 {
+		t.max = units.Millis(stats.Max(all))
 	}
-	for ti := range r.Tenants {
-		tr := &r.Tenants[ti]
+	for ti := range t.tenants {
+		tr := &t.tenants[ti]
 		tr.Attainment = attainment(tr.SLOMet, tr.Offered)
 		sort.Float64s(per[ti])
 		tr.P50 = units.Millis(stats.Percentile(per[ti], 50))
 		tr.P95 = units.Millis(stats.Percentile(per[ti], 95))
 		tr.P99 = units.Millis(stats.Percentile(per[ti], 99))
 	}
+	return t
+}
 
+func attainment(met, offered int) float64 {
+	if offered == 0 {
+		return 1
+	}
+	return float64(met) / float64(offered)
+}
+
+// report assembles the Report from the drained engine state.
+func (e *engine) report(makespan units.Millis) *Report {
+	t := e.tally(makespan)
+	r := &Report{
+		Router:        e.o.Router,
+		Horizon:       e.o.Horizon,
+		Makespan:      makespan,
+		Offered:       t.offered,
+		Admitted:      t.admitted,
+		Completed:     t.completed,
+		SLOMet:        t.met,
+		Shed:          t.shed,
+		Attainment:    t.attainment,
+		GoodputPerSec: t.goodput,
+		P50:           t.p50,
+		P95:           t.p95,
+		P99:           t.p99,
+		Max:           t.max,
+		Events:        e.popped,
+		Tenants:       t.tenants,
+		Scales:        e.scales,
+		Queue:         e.points,
+	}
 	for ni := range e.nodes {
 		nd := &e.nodes[ni]
 		for di := range nd.pools {
 			p := &nd.pools[di]
 			p.setLive(p.live, makespan) // close the replica-time integral
-			busy := p.prof.Busy.Scale(float64(p.starts))
+			starts := p.admitted()
+			busy := p.prof.Busy.Scale(float64(starts))
 			util := 0.0
 			if p.replicaMs > 0 {
 				util = busy.Ratio(p.replicaMs)
@@ -172,7 +222,7 @@ func (e *engine) report(makespan units.Millis) *Report {
 				Node:       ni,
 				Platform:   nd.preset.Key,
 				Deployment: e.o.Deployments[di].Name,
-				Starts:     p.starts,
+				Starts:     starts,
 				Replicas:   p.live,
 				Peak:       p.peak,
 				Busy:       busy,
@@ -184,63 +234,59 @@ func (e *engine) report(makespan units.Millis) *Report {
 	return r
 }
 
-func attainment(met, offered int) float64 {
-	if offered == 0 {
-		return 1
+// printer writes formatted lines to w and keeps the first error, so a
+// Render can emit every line unconditionally and report once.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
 	}
-	return float64(met) / float64(offered)
+}
+
+// latencyAndTenants writes the response-time line and one line per
+// tenant, the part of Render both reports share.
+func (p *printer) latencyAndTenants(p50, p95, p99, max units.Millis, tenants []TenantReport) {
+	p.printf("latency p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
+		float64(p50), float64(p95), float64(p99), float64(max))
+	for _, t := range tenants {
+		p.printf("tenant %-12s model %d  offered %4d  met %4d  shed %4d  attainment %.4f  p99 %.3f ms\n",
+			t.Name, t.Model, t.Offered, t.SLOMet, t.Shed, t.Attainment, float64(t.P99))
+	}
 }
 
 // Render writes a human-readable summary. The output is deterministic
 // for a given Report.
 func (r *Report) Render(w io.Writer) error {
-	pf := func(format string, args ...any) (err error) {
-		_, err = fmt.Fprintf(w, format, args...)
-		return
-	}
-	if err := pf("router %s  horizon %.2f ms  makespan %.2f ms  events %d\n",
-		r.Router, float64(r.Horizon), float64(r.Makespan), r.Events); err != nil {
-		return err
-	}
-	if err := pf("offered %d  admitted %d  completed %d  slo-met %d  shed %d  attainment %.4f  goodput %.2f req/s  cost %.2f\n",
-		r.Offered, r.Admitted, r.Completed, r.SLOMet, r.Shed, r.Attainment, r.GoodputPerSec, r.CostUnits); err != nil {
-		return err
-	}
-	if err := pf("latency p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
-		float64(r.P50), float64(r.P95), float64(r.P99), float64(r.Max)); err != nil {
-		return err
-	}
-	for _, t := range r.Tenants {
-		if err := pf("tenant %-12s model %d  offered %4d  met %4d  shed %4d  attainment %.4f  p99 %.3f ms\n",
-			t.Name, t.Model, t.Offered, t.SLOMet, t.Shed, t.Attainment, float64(t.P99)); err != nil {
-			return err
-		}
-	}
+	p := &printer{w: w}
+	p.printf("router %s  horizon %.2f ms  makespan %.2f ms  events %d\n",
+		r.Router, float64(r.Horizon), float64(r.Makespan), r.Events)
+	p.printf("offered %d  admitted %d  completed %d  slo-met %d  shed %d  attainment %.4f  goodput %.2f req/s  cost %.2f\n",
+		r.Offered, r.Admitted, r.Completed, r.SLOMet, r.Shed, r.Attainment, r.GoodputPerSec, r.CostUnits)
+	p.latencyAndTenants(r.P50, r.P95, r.P99, r.Max, r.Tenants)
 	for _, n := range r.Nodes {
-		if err := pf("node %d/%s  %s  starts %4d  replicas %d (peak %d)  util %.3f  cost %.2f\n",
-			n.Node, n.Platform, n.Deployment, n.Starts, n.Replicas, n.Peak, n.Util, n.Cost); err != nil {
-			return err
-		}
+		p.printf("node %d/%s  %s  starts %4d  replicas %d (peak %d)  util %.3f  cost %.2f\n",
+			n.Node, n.Platform, n.Deployment, n.Starts, n.Replicas, n.Peak, n.Util, n.Cost)
 	}
 	for _, s := range r.Scales {
-		if err := pf("scale t %.2f ms  node %d dep %d  %d -> %d\n",
-			float64(s.T), s.Node, s.Deployment, s.From, s.To); err != nil {
-			return err
-		}
+		p.printf("scale t %.2f ms  node %d dep %d  %d -> %d\n",
+			float64(s.T), s.Node, s.Deployment, s.From, s.To)
 	}
-	return nil
+	return p.err
 }
 
 // WriteQueue streams the queue-depth timeline as two-column CSV
 // (time_ms,depth), suitable for plotting.
-func (r *Report) WriteQueue(w io.Writer) error {
-	if _, err := io.WriteString(w, "time_ms,depth\n"); err != nil {
-		return err
+func (r *Report) WriteQueue(w io.Writer) error { return writeQueue(w, r.Queue) }
+
+func writeQueue(w io.Writer, queue []QueuePoint) error {
+	p := &printer{w: w}
+	p.printf("time_ms,depth\n")
+	for _, q := range queue {
+		p.printf("%.6f,%d\n", float64(q.T), q.Depth)
 	}
-	for _, p := range r.Queue {
-		if _, err := fmt.Fprintf(w, "%.6f,%d\n", float64(p.T), p.Depth); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.err
 }

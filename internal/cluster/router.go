@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"github.com/shus-lab/hios/internal/serve"
-	"github.com/shus-lab/hios/internal/units"
-)
+import "github.com/shus-lab/hios/internal/units"
 
 // RouterPolicy selects how the gateway picks a node for each admitted
 // request.
@@ -32,8 +29,8 @@ const (
 
 // RouterRegistry enumerates the router policies. RouterPolicies,
 // Options.Validate and the CLI usage text all read from here, mirroring
-// the single-node dispatch registry (serve.Registry).
-var RouterRegistry = serve.PolicyRegistry[RouterPolicy]{
+// the dispatch policy registry (ServeRegistry).
+var RouterRegistry = PolicyRegistry[RouterPolicy]{
 	{Policy: RouterLeastLoad, Usage: "fewest outstanding requests per live replica"},
 	{Policy: RouterWeighted, Usage: "lowest latency estimate weighted by platform cost"},
 	{Policy: RouterAffinity, Usage: "per-tenant preferred node, least-load fallback"},

@@ -7,7 +7,6 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/model"
 	"github.com/shus-lab/hios/internal/parallel"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -119,7 +118,7 @@ func fleetProfiles(opt FleetSweepOptions) ([]cluster.Profile, error) {
 		if err != nil {
 			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
 		}
-		sm, err := serve.NewModel(net.Name, net.G, cm, res.Schedule)
+		sm, err := cluster.NewServeModel(net.Name, net.G, cm, res.Schedule)
 		if err != nil {
 			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
 		}

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -124,7 +124,7 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 	m := cost.FromGraph(g, cost.DefaultContention())
 
 	algos := RealSystemAlgorithms
-	models := make([]serve.Model, len(algos))
+	models := make([]cluster.ServeModel, len(algos))
 	bestCap := 0.0
 	minLat := units.Millis(0)
 	for ai, algo := range algos {
@@ -132,7 +132,7 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 		if err != nil {
 			return Figure{}, fmt.Errorf("AttainmentVsLoad: %s: %w", algo, err)
 		}
-		dm, err := serve.NewModel(algo, g, m, res.Schedule)
+		dm, err := cluster.NewServeModel(algo, g, m, res.Schedule)
 		if err != nil {
 			return Figure{}, fmt.Errorf("AttainmentVsLoad: %s: %w", algo, err)
 		}
@@ -156,7 +156,7 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 	tight := minLat.Scale(4)
 	loose := minLat.Scale(12)
 
-	policies := serve.Policies()
+	policies := cluster.ServePolicies()
 	series := make([]string, 0, len(algos)*len(policies))
 	for _, a := range algos {
 		for _, p := range policies {
@@ -177,9 +177,9 @@ func AttainmentVsLoad(opt ServeSweepOptions) (Figure, error) {
 		atts := make([]float64, 0, len(series))
 		for ai := range algos {
 			for _, p := range policies {
-				rep, err := serve.Run(serve.Options{
-					Models: []serve.Model{models[ai]},
-					Tenants: []serve.Tenant{
+				rep, err := cluster.Serve(cluster.ServeOptions{
+					Models: []cluster.ServeModel{models[ai]},
+					Tenants: []cluster.Tenant{
 						{Name: "interactive", Deadline: tight, Rate: 0.6 * lambda},
 						{Name: "batch", Deadline: loose, Rate: 0.4 * lambda},
 					},

@@ -53,7 +53,7 @@ var detClockForbidden = map[string]map[string]bool{
 }
 
 func runDetClock(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/sim", "internal/sched", "internal/cost", "internal/profile", "internal/randdag", "internal/mpi", "internal/serve", "internal/cluster", "cmd") {
+	if !inScope(pass.Path, "internal/sim", "internal/sched", "internal/cost", "internal/profile", "internal/randdag", "internal/mpi", "internal/cluster", "cmd") {
 		return nil
 	}
 	for _, f := range pass.Files {

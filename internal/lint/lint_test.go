@@ -53,7 +53,7 @@ func TestPubAPI(t *testing.T) {
 // The options rule is module-wide: an exported *Options struct without a
 // Validate method is flagged wherever it is declared.
 func TestPubAPIOptions(t *testing.T) {
-	linttest.Run(t, lint.PubAPI, "testdata/pubapioptions", lint.ModulePath+"/internal/serve/fixture")
+	linttest.Run(t, lint.PubAPI, "testdata/pubapioptions", lint.ModulePath+"/internal/cluster/fixture")
 }
 
 func TestUnitFlow(t *testing.T) {
@@ -223,10 +223,10 @@ func TestSuiteListsAllAnalyzers(t *testing.T) {
 // decision that has to touch this table, not something that slips in.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
-		"floatexact": 14, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, cluster queue-point dedupe
+		"floatexact": 12, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, queue-point dedupe
 		"seedflow":   3,  // ios dp.go zobrist splitmix64 stream constants
 		"locksafe":   1,  // profile.Export snapshot clone under the read lock
-		"hotpath":    12, // scheduler and serving entry-point roots (propagation covers the rest)
+		"hotpath":    11, // scheduler and serving entry-point roots (propagation covers the rest)
 	}
 	got := map[string]int{}
 	dirRe := regexp.MustCompile(`^//lint:([a-z]+)(.*)$`)

@@ -10,10 +10,8 @@ import (
 
 // LockSafe enforces the lock discipline of the mutex-bearing packages
 // (internal/costcache, internal/dpcache, internal/profile,
-// internal/parallel, internal/runtime, internal/serve,
-// internal/cluster): critical
-// sections stay short,
-// allocation-free and balanced. Concretely it flags
+// internal/parallel, internal/runtime, internal/cluster): critical
+// sections stay short, allocation-free and balanced. Concretely it flags
 //
 //   - allocation under a held sync.Mutex/RWMutex — make, new, slice and
 //     map literals, address-taken composites. Building the value before
@@ -51,7 +49,7 @@ var LockSafe = &analysis.Analyzer{
 }
 
 func runLockSafe(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/costcache", "internal/dpcache", "internal/profile", "internal/parallel", "internal/runtime", "internal/serve", "internal/cluster") {
+	if !inScope(pass.Path, "internal/costcache", "internal/dpcache", "internal/profile", "internal/parallel", "internal/runtime", "internal/cluster") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -45,7 +45,7 @@ var unitflowScope = []string{
 	"internal/gpu", "internal/cost", "internal/costcache", "internal/profile",
 	"internal/model", "internal/sched", "internal/sim", "internal/pipeline",
 	"internal/trace", "internal/memory", "internal/runtime",
-	"internal/experiments", "internal/serve", "internal/cluster",
+	"internal/experiments", "internal/cluster",
 	"internal/specflag", "cmd",
 }
 

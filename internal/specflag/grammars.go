@@ -2,7 +2,6 @@ package specflag
 
 import (
 	"github.com/shus-lab/hios/internal/cluster"
-	"github.com/shus-lab/hios/internal/serve"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -10,14 +9,14 @@ import (
 // hios-cluster: "name=web,deadline=20,rate=300" (open-loop) or
 // "name=batch,deadline=200,clients=4,think=5" (closed-loop); deadline
 // and think in ms, rate in req/s, model the deployment index.
-func Tenant() *Parser[serve.Tenant] {
+func Tenant() *Parser[cluster.Tenant] {
 	return New("tenant",
-		Str("name", func(t *serve.Tenant) *string { return &t.Name }),
-		Int("model", func(t *serve.Tenant) *int { return &t.Model }),
-		Millis("deadline", func(t *serve.Tenant) *units.Millis { return &t.Deadline }),
-		Float("rate", func(t *serve.Tenant) *float64 { return &t.Rate }),
-		Int("clients", func(t *serve.Tenant) *int { return &t.Clients }),
-		Millis("think", func(t *serve.Tenant) *units.Millis { return &t.Think }),
+		Str("name", func(t *cluster.Tenant) *string { return &t.Name }),
+		Int("model", func(t *cluster.Tenant) *int { return &t.Model }),
+		Millis("deadline", func(t *cluster.Tenant) *units.Millis { return &t.Deadline }),
+		Float("rate", func(t *cluster.Tenant) *float64 { return &t.Rate }),
+		Int("clients", func(t *cluster.Tenant) *int { return &t.Clients }),
+		Millis("think", func(t *cluster.Tenant) *units.Millis { return &t.Think }),
 	)
 }
 

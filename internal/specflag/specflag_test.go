@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cluster"
-	"github.com/shus-lab/hios/internal/serve"
 )
 
 func TestTenantParse(t *testing.T) {
@@ -14,7 +13,7 @@ func TestTenantParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serve.Tenant{Name: "web", Deadline: 20, Rate: 300}
+	want := cluster.Tenant{Name: "web", Deadline: 20, Rate: 300}
 	if got != want {
 		t.Fatalf("Parse = %+v, want %+v", got, want)
 	}
@@ -22,7 +21,7 @@ func TestTenantParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = serve.Tenant{Name: "batch", Model: 1, Deadline: 200, Clients: 4, Think: 5}
+	want = cluster.Tenant{Name: "batch", Model: 1, Deadline: 200, Clients: 4, Think: 5}
 	if got != want {
 		t.Fatalf("Parse = %+v, want %+v", got, want)
 	}
@@ -47,7 +46,7 @@ func TestTenantParseErrors(t *testing.T) {
 // TestRoundTrip: Parse(String(v)) == v, and String omits unset fields.
 func TestRoundTrip(t *testing.T) {
 	tp := Tenant()
-	tenants := []serve.Tenant{
+	tenants := []cluster.Tenant{
 		{Name: "web", Deadline: 20, Rate: 300},
 		{Name: "batch", Model: 2, Deadline: 200, Clients: 4, Think: 5},
 		{Deadline: 12.5, Rate: 0.25},

@@ -3,8 +3,9 @@ package stats
 // Seed-stream helpers: the sanctioned home of splitmix64 seed mixing
 // (the seedflow analyzer flags the constants anywhere else). Every
 // deterministic component that needs several independent RNG streams —
-// per-tenant arrival processes in internal/serve, per-seed sweep
-// instances in internal/experiments — derives child seeds here instead
+// per-tenant arrival processes and the router streams in
+// internal/cluster, per-seed sweep instances in internal/experiments —
+// derives child seeds here instead
 // of hand-rolling `seed + i` arithmetic, which produces correlated
 // streams (math/rand's LCG-seeded generators with adjacent seeds start
 // in nearly identical states).

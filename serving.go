@@ -1,14 +1,15 @@
 package hios
 
 import (
+	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/experiments"
-	"github.com/shus-lab/hios/internal/serve"
 )
 
 // This file extends the facade to the online serving layer (DESIGN.md
 // §9): a deterministic discrete-event simulator of a deadline-aware,
 // multi-tenant model-serving deployment built on the offline scheduling
-// core. cmd/hios-serve is an ordinary client of exactly this surface.
+// core — the one-node case of the cluster engine (§14).
+// cmd/hios-serve is an ordinary client of exactly this surface.
 
 type (
 	// ServeOptions configures one serving simulation: deployed models,
@@ -16,28 +17,28 @@ type (
 	// the validated-options pattern — zero values select documented
 	// defaults and Validate reports violations with errors.Is-matchable
 	// sentinels.
-	ServeOptions = serve.Options
+	ServeOptions = cluster.ServeOptions
 	// ServeReport is the outcome of a serving simulation: attainment,
 	// goodput, tail latencies, per-tenant and per-GPU breakdowns and
 	// the queue-depth timeline.
-	ServeReport = serve.Report
+	ServeReport = cluster.ServeReport
 	// ServeModel is one deployed model: pipeline replicas characterized
 	// by the latency and steady-state period of a schedule.
-	ServeModel = serve.Model
+	ServeModel = cluster.ServeModel
 	// ServeTenant is one request class: an arrival process (open-loop
 	// Poisson rate or closed-loop clients) plus a relative deadline.
-	ServeTenant = serve.Tenant
+	ServeTenant = cluster.Tenant
 	// ServePolicy selects the dispatch discipline.
-	ServePolicy = serve.Policy
+	ServePolicy = cluster.ServePolicy
 	// ServeTenantReport is one tenant's slice of a ServeReport.
-	ServeTenantReport = serve.TenantReport
+	ServeTenantReport = cluster.TenantReport
 	// ServeGPUUtil is the utilization of one GPU of one replica.
-	ServeGPUUtil = serve.GPUUtil
+	ServeGPUUtil = cluster.ServeGPUUtil
 	// ServeQueuePoint is one step of the queue-depth timeline.
-	ServeQueuePoint = serve.QueuePoint
+	ServeQueuePoint = cluster.QueuePoint
 	// ServeRequestOutcome is one request's fate, recorded when
 	// ServeOptions.RecordRequests is set.
-	ServeRequestOutcome = serve.RequestOutcome
+	ServeRequestOutcome = cluster.ServeRequestOutcome
 	// ServeSweepOptions parameterizes AttainmentVsLoad.
 	ServeSweepOptions = experiments.ServeSweepOptions
 )
@@ -45,31 +46,31 @@ type (
 // The implemented dispatch policies.
 const (
 	// ServeFIFO serves requests in arrival order.
-	ServeFIFO = serve.FIFO
+	ServeFIFO = cluster.ServeFIFO
 	// ServeEDF serves the earliest absolute deadline first.
-	ServeEDF = serve.EDF
+	ServeEDF = cluster.ServeEDF
 	// ServeEDFShed is EDF plus shed-on-hopeless admission control.
-	ServeEDFShed = serve.EDFShed
+	ServeEDFShed = cluster.ServeEDFShed
 )
 
 // ServePolicies lists every implemented dispatch policy.
-func ServePolicies() []ServePolicy { return serve.Policies() }
+func ServePolicies() []ServePolicy { return cluster.ServePolicies() }
 
 // Sentinel errors of ServeOptions.Validate, re-exported for errors.Is
 // matching without importing internal paths.
 var (
 	// ErrServeNoModels reports a ServeOptions with no deployed models.
-	ErrServeNoModels = serve.ErrNoModels
+	ErrServeNoModels = cluster.ErrServeNoModels
 	// ErrServeNoTenants reports a ServeOptions with no tenants.
-	ErrServeNoTenants = serve.ErrNoTenants
+	ErrServeNoTenants = cluster.ErrServeNoTenants
 	// ErrServeUnknownPolicy reports an unrecognized ServePolicy.
-	ErrServeUnknownPolicy = serve.ErrUnknownPolicy
+	ErrServeUnknownPolicy = cluster.ErrServeUnknownPolicy
 	// ErrServeBadModel reports a structurally invalid ServeModel.
-	ErrServeBadModel = serve.ErrBadModel
+	ErrServeBadModel = cluster.ErrServeBadModel
 	// ErrServeBadTenant reports a structurally invalid ServeTenant.
-	ErrServeBadTenant = serve.ErrBadTenant
+	ErrServeBadTenant = cluster.ErrServeBadTenant
 	// ErrServeBadHorizon reports a negative arrival horizon.
-	ErrServeBadHorizon = serve.ErrBadHorizon
+	ErrServeBadHorizon = cluster.ErrServeBadHorizon
 )
 
 // NewServeModel derives a deployment model from a schedule: latency and
@@ -77,13 +78,15 @@ var (
 // time from the evaluated timing. Replicas starts at 1; scale it to the
 // GPU budget before serving.
 func NewServeModel(name string, g *Graph, m CostModel, s *Schedule) (ServeModel, error) {
-	return serve.NewModel(name, g, m, s)
+	return cluster.NewServeModel(name, g, m, s)
 }
 
 // Serve runs one online serving simulation: seeded stochastic arrivals,
 // deadline-aware dispatch, shedding under the admission-control policy.
-// The same options always produce the same report (DESIGN.md §7, §9).
-func Serve(opt ServeOptions) (*ServeReport, error) { return serve.Run(opt) }
+// It is a one-node ClusterServe, so the two always agree on the same
+// traffic. The same options always produce the same report (DESIGN.md
+// §7, §9).
+func Serve(opt ServeOptions) (*ServeReport, error) { return cluster.Serve(opt) }
 
 // AttainmentVsLoad sweeps SLO attainment versus offered load for every
 // real-system scheduler × dispatch policy; the resulting figure is
