@@ -15,8 +15,10 @@ import (
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/dpcache"
+	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
+	"github.com/shus-lab/hios/internal/units"
 )
 
 // diffInstances is the graph count per differential test. The instances
@@ -106,5 +108,101 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 	if st := dpcache.Shared().Stats(); st.Hits == 0 {
 		t.Fatalf("warm re-solves never hit the cache: %+v", st)
+	}
+}
+
+// wideBeamDigest is the SHA-256 of the renderSchedule output of every
+// wideBeamCase instance, solved with NoCache. The differential corpus
+// above stays under 50 operators; these are 200-operator paper graphs,
+// whose single wide block runs the beam search every bucket.
+const wideBeamDigest = "5219def9aef5158910d6e34e7aa8f4f91313685c3f2d1981669d68bad587bae2"
+
+// wideBeamCase derives the i-th wide instance: paper-default graph i+1
+// under one of four beam widths, the third also widening the frontier
+// window.
+func wideBeamCase(i int) (*randdag.Config, Options) {
+	cfg := randdag.Paper()
+	cfg.Seed = int64(i/4 + 1)
+	opt := Options{NoCache: true}
+	switch i % 4 {
+	case 0:
+		opt.Beam = 1
+	case 1:
+		opt.Beam = 2
+	case 2:
+		opt.Beam = 4
+		opt.PruneWindow = 10
+	case 3:
+		opt.Beam = 32
+	}
+	return &cfg, opt
+}
+
+// TestWideBeamDigest pins the beam-mode schedules of 12 wide graphs at
+// four beam widths to one recorded digest.
+func TestWideBeamDigest(t *testing.T) {
+	h := sha256.New()
+	for i := 0; i < 12*4; i++ {
+		cfg, opt := wideBeamCase(i)
+		fmt.Fprintln(h, renderSchedule(t, cfg, opt))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wideBeamDigest {
+		t.Fatalf("wide beam digest changed: got %s, want %s", got, wideBeamDigest)
+	}
+}
+
+// probeModel prices stages with an inner model but hides its ItemModel
+// methods, so the DP takes the generic StageTime path, and folds every
+// probe's operator IDs, in call order, into a running FNV-1a hash.
+type probeModel struct {
+	inner  cost.Model
+	hash   uint64
+	probes int
+}
+
+func (m *probeModel) OpTime(v graph.OpID) units.Millis      { return m.inner.OpTime(v) }
+func (m *probeModel) CommTime(u, v graph.OpID) units.Millis { return m.inner.CommTime(u, v) }
+func (m *probeModel) StageTime(ops []graph.OpID) units.Millis {
+	const prime = 1099511628211
+	for _, v := range ops {
+		m.hash = (m.hash ^ uint64(v)) * prime
+	}
+	m.hash = (m.hash ^ 0xff) * prime // probe separator
+	m.probes++
+	return m.inner.StageTime(ops)
+}
+
+// genericProbeDigest is the SHA-256 over genericProbeCase instances of
+// each schedule together with the count and FNV-1a hash of its StageTime
+// probe sequence: the sequence profile.CostTable counts for Fig. 14.
+const genericProbeDigest = "feac8216b7b2f894d83f5ee63fa582fef4be399256e6c563950b11c03c9afbca"
+
+// TestGenericProbeDigest pins the generic (non-ItemModel) path: its
+// schedules and every StageTime probe it issues, in order.
+func TestGenericProbeDigest(t *testing.T) {
+	h := sha256.New()
+	for i := 0; i < 6; i++ {
+		cfg := randdag.Paper()
+		cfg.Seed = int64(100 + i)
+		opt := Options{NoCache: true}
+		if i%2 == 1 {
+			opt.Beam = 4
+		}
+		g := randdag.MustGenerate(cfg)
+		m := &probeModel{inner: cost.FromGraph(g, cost.DefaultContention()), hash: 14695981039346656037}
+		if _, ok := cost.Model(m).(cost.ItemModel); ok {
+			t.Fatal("probeModel must not satisfy cost.ItemModel")
+		}
+		res, err := Schedule(g, m, opt)
+		if err != nil {
+			t.Fatalf("Schedule(%+v): %v", opt, err)
+		}
+		if err := sched.Validate(g, res.Schedule); err != nil {
+			t.Fatalf("invalid schedule under %+v: %v", opt, err)
+		}
+		fmt.Fprintf(h, "%v|%b|%d|%x\n", res.Schedule.GPUs[0].Stages, float64(res.Latency), m.probes, m.hash)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != genericProbeDigest {
+		t.Fatalf("generic probe digest changed: got %s, want %s", got, genericProbeDigest)
 	}
 }
