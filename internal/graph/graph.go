@@ -17,6 +17,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -131,10 +132,22 @@ func (g *Graph) Finalize() error {
 		if e.Time < 0 {
 			return fmt.Errorf("graph: edge %d (%d->%d) has negative transfer time %g", i, e.From, e.To, e.Time)
 		}
+		if !finite(e.Time) {
+			return fmt.Errorf("graph: edge %d (%d->%d) has non-finite transfer time %g", i, e.From, e.To, e.Time)
+		}
 	}
 	for _, op := range g.ops {
 		if op.Time < 0 {
 			return fmt.Errorf("graph: operator %d (%s) has negative execution time %g", op.ID, op.Name, op.Time)
+		}
+		if !finite(op.Time) {
+			return fmt.Errorf("graph: operator %d (%s) has non-finite execution time %g", op.ID, op.Name, op.Time)
+		}
+		// A NaN utilization passes both of the cost model's clamps and
+		// turns the work and utilization sums of every stage it joins
+		// into NaN, which silently drops the contention terms.
+		if math.IsNaN(op.Util) {
+			return fmt.Errorf("graph: operator %d (%s) has NaN utilization", op.ID, op.Name)
 		}
 	}
 	g.succ = make([][]adj, n)
@@ -158,6 +171,9 @@ func (g *Graph) Finalize() error {
 	g.topo = order
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustFinalize is Finalize that panics on error; for use with graphs whose
 // construction is statically known to be valid (builders, tests).

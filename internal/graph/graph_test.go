@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -84,6 +86,48 @@ func TestFinalizeRejectsNegativeWeights(t *testing.T) {
 	g2.AddEdge(a, b, -0.5)
 	if err := g2.Finalize(); err == nil {
 		t.Fatal("Finalize accepted a negative transfer time")
+	}
+}
+
+func TestFinalizeRejectsNonFiniteWeights(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		op       Op
+		edgeTime float64
+		want     string
+	}{
+		{"NaN op time", Op{Time: nan}, 1, "non-finite execution time"},
+		{"+Inf op time", Op{Time: inf}, 1, "non-finite execution time"},
+		{"-Inf op time", Op{Time: -inf}, 1, "negative execution time"},
+		{"NaN edge time", Op{Time: 1}, nan, "non-finite transfer time"},
+		{"+Inf edge time", Op{Time: 1}, inf, "non-finite transfer time"},
+		{"-Inf edge time", Op{Time: 1}, -inf, "negative transfer time"},
+		{"NaN util", Op{Time: 1, Util: nan}, 1, "NaN utilization"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(2, 1)
+			a := g.AddOp(Op{Time: 1, Util: 0.5})
+			b := g.AddOp(tc.op)
+			g.AddEdge(a, b, tc.edgeTime)
+			err := g.Finalize()
+			if err == nil {
+				t.Fatalf("Finalize accepted %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Finalize error %q, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+	// Infinite utilizations stay legal: the cost model clamps them into
+	// (0, 1] like any other out-of-range value.
+	g := New(2, 1)
+	a := g.AddOp(Op{Time: 1, Util: math.Inf(1)})
+	b := g.AddOp(Op{Time: 1, Util: math.Inf(-1)})
+	g.AddEdge(a, b, 0)
+	if err := g.Finalize(); err != nil {
+		t.Fatalf("Finalize rejected infinite utilizations: %v", err)
 	}
 }
 
@@ -173,6 +217,30 @@ func TestByPriorityIsTopological(t *testing.T) {
 	for _, e := range g.Edges() {
 		if pos[e.From] >= pos[e.To] {
 			t.Fatalf("ByPriority violates edge %d->%d", e.From, e.To)
+		}
+	}
+}
+
+// TestByPriorityRepairsTies covers dependent pairs whose priorities tie
+// in the wrong ID order: zero times, and a tiny time swallowed by
+// rounding next to a huge one.
+func TestByPriorityRepairsTies(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		big, small float64
+	}{
+		{"zero times", 0, 0},
+		{"rounding", 5.6e14, 6.4e-10},
+	} {
+		g := New(3, 2)
+		a := g.AddOp(Op{Time: tc.big})   // sink, lowest ID
+		b := g.AddOp(Op{Time: tc.small}) // feeds a
+		c := g.AddOp(Op{Time: tc.small}) // feeds b
+		g.AddEdge(b, a, 0)
+		g.AddEdge(c, b, 0)
+		g.MustFinalize()
+		if got, want := fmt.Sprint(g.ByPriority()), fmt.Sprint([]OpID{c, b, a}); got != want {
+			t.Fatalf("%s: ByPriority = %s, want %s", tc.name, got, want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TopoOrder returns a topological order of all operators (Kahn's algorithm,
 // smallest-ID-first for determinism). It returns ErrCycle if the graph is
@@ -15,16 +18,26 @@ func (g *Graph) TopoOrder() ([]OpID, error) {
 	return g.computeTopoOrder()
 }
 
-// computeTopoOrder runs the Kahn sweep. Finalize calls it once to
-// validate acyclicity and populate the cache behind TopoOrder.
+// computeTopoOrder runs the Kahn sweep smallest-ID-first. Finalize calls
+// it once to validate acyclicity and populate the cache behind TopoOrder.
 func (g *Graph) computeTopoOrder() ([]OpID, error) {
+	rank := make([]int, len(g.ops))
+	for v := range rank {
+		rank[v] = v
+	}
+	return g.kahn(rank)
+}
+
+// kahn returns the topological order that, at each step, takes the ready
+// operator of smallest rank, or ErrCycle if the graph is not acyclic.
+func (g *Graph) kahn(rank []int) ([]OpID, error) {
 	n := len(g.ops)
 	indeg := make([]int, n)
 	for v := 0; v < n; v++ {
 		indeg[v] = len(g.pred[v])
 	}
-	// Min-heap on OpID keeps the order deterministic and stable across
-	// runs; a plain slice with sort is fine at these sizes.
+	// A linear scan for the smallest rank keeps the order deterministic
+	// and stable across runs; a heap is not worth it at these sizes.
 	ready := make([]OpID, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
@@ -33,10 +46,9 @@ func (g *Graph) computeTopoOrder() ([]OpID, error) {
 	}
 	order := make([]OpID, 0, n)
 	for len(ready) > 0 {
-		// Pop the smallest ready ID.
 		best := 0
 		for i := 1; i < len(ready); i++ {
-			if ready[i] < ready[best] {
+			if rank[ready[i]] < rank[ready[best]] {
 				best = i
 			}
 		}
@@ -60,9 +72,9 @@ func (g *Graph) computeTopoOrder() ([]OpID, error) {
 // PriorityIndicators computes p(v) for every operator: the length of the
 // longest path from v to a sink in the graph, where length counts both
 // vertex weights (execution times) and edge weights (transfer times),
-// including t(v) itself. Descending p(v) is a valid topological order when
-// all execution times are positive (HIOS relies on this; see §IV-A of the
-// paper).
+// including t(v) itself. Descending p(v) is a topological order except
+// where zero times or rounding tie a dependent pair, which ByPriority
+// repairs (HIOS relies on the order; see §IV-A of the paper).
 func (g *Graph) PriorityIndicators() []float64 {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -128,28 +140,40 @@ func (g *Graph) CriticalComputeLength() float64 {
 
 // ByPriority returns all operator IDs sorted by descending priority
 // indicator; ties break on ascending ID so the order is deterministic.
-// The result is a topological order (dependent ops have strictly larger
-// priority than their successors when op times are positive; the tie-break
-// also keeps independent equal-priority ops stable).
+// The result is a topological order (see ByPriorityWith).
 func (g *Graph) ByPriority() []OpID {
 	p := g.PriorityIndicators()
 	return g.ByPriorityWith(p)
 }
 
 // ByPriorityWith sorts operator IDs by descending precomputed priority,
-// breaking ties by ascending ID.
+// breaking ties by ascending ID, and returns a topological order. A
+// dependent operator usually has strictly larger priority than its
+// successor, but zero-time operators and float rounding (a huge time plus
+// a tiny one) can tie the pair in the wrong ID order; only then is the
+// sorted order repaired, by a Kahn sweep that always takes the earliest
+// ready operator in it.
 func (g *Graph) ByPriorityWith(p []float64) []OpID {
 	ids := make([]OpID, len(g.ops))
 	for i := range ids {
 		ids[i] = OpID(i)
 	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		if p[ids[i]] != p[ids[j]] { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
-			return p[ids[i]] > p[ids[j]]
+	before := func(u, v OpID) bool {
+		if p[u] != p[v] { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
+			return p[u] > p[v]
 		}
-		return ids[i] < ids[j]
-	})
-	return ids
+		return u < v
+	}
+	sort.SliceStable(ids, func(i, j int) bool { return before(ids[i], ids[j]) })
+	if !slices.ContainsFunc(g.edges, func(e Edge) bool { return !before(e.From, e.To) }) {
+		return ids
+	}
+	pos := make([]int, len(ids))
+	for i, v := range ids {
+		pos[v] = i
+	}
+	order, _ := g.kahn(pos) // Finalize has ruled out cycles
+	return order
 }
 
 // Layers partitions the operators into topological levels: layer 0 holds

@@ -2,6 +2,8 @@ package ios
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -50,19 +52,34 @@ func init() {
 // predecessor is necessarily expanded before the state itself. Nothing in a
 // dpState points into the heap, so growing either slab moves states without
 // invalidating anything.
+//
+// A state stores no stage: the enumeration builds every stage in ascending
+// local-index order, so the stage that reached a state is exactly the
+// ascending members of set &^ done[prev].set, which the backtrack reads
+// back once per solve.
 type dpState struct {
-	set      bitset
-	hash     uint64       // XOR of zobrist keys of the members
-	cost     units.Millis // best known dp[S]
-	prev     int32        // done-slab index of the predecessor (-1 for the start)
-	stageOff int32        // stage range: pending arena while pending, done arena after
-	stageLen int32
-	count    int32 // popcount of set
+	set   bitset
+	hash  uint64       // XOR of zobrist keys of the members
+	cost  units.Millis // best known dp[S]
+	prev  int32        // done-slab index of the predecessor (-1 for the start)
+	inTop bool         // has an entry in its bucket's top heap
+}
+
+// topEntry is one entry of a bucket's top heap: a state and the cost it
+// had when it entered. Costs only fall, so the entry's cost is an upper
+// bound on the state's current cost.
+type topEntry struct {
+	cost units.Millis
+	si   int32
 }
 
 // pending is the storage of one in-flight operator count: the states that
-// have been created but not yet expanded, their interned stages, and the
-// open-addressing index over them (0 = empty, else state index + 1).
+// have been created but not yet expanded and the open-addressing index over
+// them (0 = empty, else state index + 1). In beam mode it also keeps top, a
+// max-heap over the entry costs of at most Beam+1 distinct states, and
+// bound, the heap's root cost once the heap is full (+Inf until then): at
+// least Beam+1 states then cost no more than bound, so a transition priced
+// above it can never reach a state the beam keeps (DESIGN.md §15).
 //
 // Transitions strictly increase the count by at most MaxStage, so at most
 // MaxStage+1 counts are ever live at once: the one being expanded and the
@@ -73,12 +90,15 @@ type dpState struct {
 // working set to the live window.
 type pending struct {
 	states []dpState
-	arena  []graph.OpID
 	index  []int32
 	filled int
+	top    []topEntry
+	bound  units.Millis
 }
 
 // find returns the bucket index of the state with the given set, or -1.
+// The stored hash is compared first: it rejects almost every collision
+// without touching the 64-byte set.
 func (p *pending) find(hash uint64, set *bitset) int32 {
 	mask := uint64(len(p.index) - 1)
 	for i := hash & mask; ; i = (i + 1) & mask {
@@ -86,7 +106,7 @@ func (p *pending) find(hash uint64, set *bitset) int32 {
 		if e == 0 {
 			return -1
 		}
-		if p.states[e-1].set == *set {
+		if st := &p.states[e-1]; st.hash == hash && st.set == *set {
 			return e - 1
 		}
 	}
@@ -128,9 +148,72 @@ func (p *pending) rehash(capacity int) {
 // backing array.
 func (p *pending) recycle() {
 	p.states = p.states[:0]
-	p.arena = p.arena[:0]
 	p.filled = 0
 	clear(p.index)
+	p.top = p.top[:0]
+	p.bound = units.Millis(math.Inf(1))
+}
+
+// offer gives state si (st), whose cost just became c, a place in the
+// top heap of at most limit entries (limit 0 disables the heap). A state
+// already in the heap keeps its older, larger entry, which stays an upper
+// bound; a NaN cost never enters, since the root would stop being one.
+func (p *pending) offer(st *dpState, si int32, c units.Millis, limit int) {
+	if limit == 0 || st.inTop || math.IsNaN(float64(c)) {
+		return
+	}
+	h := p.top
+	if len(h) < limit {
+		st.inTop = true
+		h = append(h, topEntry{cost: c, si: si})
+		p.top = h
+		if len(h) == limit {
+			for i := len(h)/2 - 1; i >= 0; i-- {
+				siftDownTop(h, i)
+			}
+			p.bound = h[0].cost
+		}
+		return
+	}
+	if len(h) == 0 || !(c < h[0].cost) {
+		return
+	}
+	// Evict the root. Its index always names a bucket state; the unsigned
+	// compare lets the compiler drop the bounds check.
+	if ev := int(h[0].si); uint(ev) < uint(len(p.states)) {
+		p.states[ev].inTop = false
+	}
+	st.inTop = true
+	h[0] = topEntry{cost: c, si: si}
+	siftDownTop(h, 0)
+	p.bound = h[0].cost
+}
+
+// siftDownTop restores the max-heap property (largest entry cost on top)
+// at position i of h, moving the entry down through a hole so every
+// index it reads is proven in bounds.
+func siftDownTop(h []topEntry, i int) {
+	if uint(i) >= uint(len(h)) {
+		return
+	}
+	hole := &h[i]
+	e := *hole
+	for k := uint(i); ; {
+		l := 2*k + 1
+		if l >= uint(len(h)) {
+			break
+		}
+		child, j := &h[l], l
+		if r := l + 1; r < uint(len(h)) && child.cost < h[r].cost {
+			child, j = &h[r], r
+		}
+		if !(e.cost < child.cost) {
+			break
+		}
+		*hole = *child
+		hole, k = child, j
+	}
+	*hole = e
 }
 
 // stateLess orders two bucket states by (cost, bitset): the beam
@@ -155,9 +238,8 @@ type solver struct {
 	inBlock []int32 // graph OpID -> local block index, -1 outside
 	preds   [][]int // local intra-block predecessor lists
 
-	ring      []pending    // pending buckets, slot = count % (MaxStage+1)
-	done      []dpState    // expanded states, in expansion order
-	doneArena []graph.OpID // stage storage of done states
+	ring []pending // pending buckets, slot = count % (MaxStage+1)
+	done []dpState // expanded states, in expansion order
 
 	front  []int        // frontier scratch
 	stage  []int        // current candidate stage (local indices)
@@ -171,16 +253,17 @@ type solver struct {
 	items    []cost.Item     // per local op (fast path only)
 	ct       cost.Contention // item fold (fast path only)
 	maxStage int
+	topLimit int // top heap size per bucket: Beam+1 in beam mode, else 0
 
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
 	// members of s.stage; cur* are the expanding state's fields, copied
 	// out of the bucket so methods never hold pointers into growable
-	// slabs.
-	nset     bitset
-	nhash    uint64
-	curCost  units.Millis
-	curDone  int32
-	curCount int32
+	// slabs. curSlot is the expanding state's ring slot.
+	nset    bitset
+	nhash   uint64
+	curCost units.Millis
+	curDone int32
+	curSlot int
 }
 
 // ensureInBlock sizes the OpID -> local-index map for a graph of n
@@ -214,17 +297,12 @@ func (s *solver) reset(n, b int, opt Options) {
 	const initialIndex = 256
 	for i := range s.ring {
 		pd := &s.ring[i]
-		pd.states = pd.states[:0]
-		pd.arena = pd.arena[:0]
-		pd.filled = 0
 		if cap(pd.index) < initialIndex {
 			pd.index = make([]int32, initialIndex)
-		} else {
-			clear(pd.index)
 		}
+		pd.recycle()
 	}
 	s.done = s.done[:0]
-	s.doneArena = s.doneArena[:0]
 	s.maxStage = opt.MaxStage
 }
 
@@ -243,46 +321,43 @@ func growNested[T any](buf [][]T, n int) [][]T {
 // from the current expanding state: dp[S∪T] = min(dp[S∪T], dp[S] + t).
 // The target state's set and hash are already in nset/nhash (maintained by
 // the enumeration DFS).
+//
+// The beam cut returns before the lookup when ncost exceeds the target
+// bucket's bound: at least Beam+1 other states already cost less, so the
+// target can never be kept, and every kept state ends cheaper than ncost,
+// so the transition is never the first minimal one into a kept state.
+// Pricing happens before the call, so the cut never changes which stages
+// a probe-counting model sees.
 func (s *solver) transition(t units.Millis) {
 	ncost := s.curCost + t
-	ncount := s.curCount + int32(len(s.stage))
-	pd := &s.ring[int(ncount)%len(s.ring)]
-	if oi := pd.find(s.nhash, &s.nset); oi >= 0 {
-		old := &pd.states[oi]
-		if ncost < old.cost {
-			old.cost = ncost
-			old.prev = s.curDone
-			// Stage-slice interning: overwrite the state's arena range in
-			// place when the improved stage fits (ranges are exclusive per
-			// state), append a fresh range only when it grew.
-			if int32(len(s.stage)) <= old.stageLen {
-				for k, li := range s.stage {
-					pd.arena[int(old.stageOff)+k] = s.block[li]
-				}
-			} else {
-				old.stageOff = int32(len(pd.arena))
-				for _, li := range s.stage {
-					pd.arena = append(pd.arena, s.block[li])
-				}
-			}
-			old.stageLen = int32(len(s.stage))
-		}
+	slot := s.curSlot + len(s.stage) // len(stage) < len(ring): one wrap
+	if slot >= len(s.ring) {
+		slot -= len(s.ring)
+	}
+	pd := &s.ring[slot]
+	if ncost > pd.bound {
 		return
 	}
-	off := int32(len(pd.arena))
-	for _, li := range s.stage {
-		pd.arena = append(pd.arena, s.block[li])
+	oi := pd.find(s.nhash, &s.nset)
+	if oi >= 0 {
+		old := &pd.states[oi]
+		if !(ncost < old.cost) {
+			return
+		}
+		old.cost = ncost
+		old.prev = s.curDone
+		pd.offer(old, oi, ncost, s.topLimit)
+		return
 	}
+	oi = int32(len(pd.states))
 	pd.states = append(pd.states, dpState{
-		set:      s.nset,
-		hash:     s.nhash,
-		cost:     ncost,
-		prev:     s.curDone,
-		stageOff: off,
-		stageLen: int32(len(s.stage)),
-		count:    ncount,
+		set:  s.nset,
+		hash: s.nhash,
+		cost: ncost,
+		prev: s.curDone,
 	})
-	pd.insert(int32(len(pd.states) - 1))
+	pd.insert(oi)
+	pd.offer(&pd.states[oi], oi, ncost, s.topLimit)
 }
 
 // enumFast visits every non-empty subset of fr[i:] extending the current
@@ -389,8 +464,8 @@ func siftDown(pd *pending, h []int32, i int) {
 
 // solveBlock runs the IOS dynamic program on one block and returns the
 // optimal (or beam-pruned) stage decomposition in execution order. The
-// returned stage slices are freshly allocated (the solver's storage is
-// reused by the next block).
+// returned stages share one freshly allocated backing slice (the solver's
+// storage is reused by the next block).
 //
 // solveBlock (not Schedule) is the hot-path root: the surrounding block
 // partition (Blocks) legitimately allocates its one-shot reachability
@@ -435,6 +510,10 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	if b <= opt.ExactLimit {
 		beam = 0 // exact within small blocks
 	}
+	s.topLimit = 0
+	if beam > 0 {
+		s.topLimit = beam + 1
+	}
 
 	im, fast := m.(cost.ItemModel)
 	if fast {
@@ -462,7 +541,8 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	s.stage = s.stage[:0]
 
 	for c := 0; c < b; c++ {
-		pd := &s.ring[c%len(s.ring)]
+		slot := c % len(s.ring)
+		pd := &s.ring[slot]
 		var kept []int32
 		n := len(pd.states)
 		if beam > 0 && n > beam {
@@ -482,13 +562,9 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			// Move the expanding state to the done slab: its bucket is
 			// recycled after this count, but back-pointers must survive.
 			di := int32(len(s.done))
-			doneOff := int32(len(s.doneArena))
-			s.doneArena = append(s.doneArena, pd.arena[st.stageOff:st.stageOff+st.stageLen]...)
-			ds := *st
-			ds.stageOff = doneOff
-			s.done = append(s.done, ds)
+			s.done = append(s.done, *st)
 
-			s.curCost, s.curDone, s.curCount = st.cost, di, int32(c)
+			s.curCost, s.curDone, s.curSlot = st.cost, di, slot
 			s.nset = st.set
 			s.nhash = st.hash
 			fr := s.front
@@ -516,31 +592,37 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 		return nil, fmt.Errorf("ios: dynamic program did not reach the full state (beam too narrow?)")
 	}
 	// Walk predecessors back to the empty state twice: once to count the
-	// stages, once to copy each stage out of the arenas directly into its
-	// execution-order slot. The final state's stage still lives in its
-	// pending bucket; every earlier stage lives in the done arena.
-	count := 1 // the full state's own stage
-	for cur := fullPd.states[end].prev; ; count++ {
-		if cur < 0 {
-			return nil, fmt.Errorf("ios: broken DP back-pointer")
-		}
-		d := &s.done[cur]
-		if d.stageLen == 0 {
-			break // the empty start state
-		}
-		cur = d.prev
+	// stages, once to read each stage off its set difference into its
+	// execution-order slot. The stages partition the block, so one flat
+	// slice of b operators backs them all.
+	last := fullPd.states[end]
+	count := 1
+	for cur := last.prev; s.done[cur].prev >= 0; cur = s.done[cur].prev {
+		count++
 	}
+	flat := make([]graph.OpID, b)
 	out := make([][]graph.OpID, count)
-	i := count - 1
-	{
-		st := &fullPd.states[end]
-		out[i] = append([]graph.OpID(nil), fullPd.arena[st.stageOff:st.stageOff+st.stageLen]...)
-		i--
-	}
-	for cur := fullPd.states[end].prev; cur >= 0 && s.done[cur].stageLen > 0; i-- {
-		d := &s.done[cur]
-		out[i] = append([]graph.OpID(nil), s.doneArena[d.stageOff:d.stageOff+d.stageLen]...)
-		cur = d.prev
+	k := b
+	set, prev := last.set, last.prev
+	for i := count - 1; i >= 0; i-- {
+		p := &s.done[prev]
+		var diff bitset
+		n := 0
+		for w := range diff {
+			diff[w] = set[w] &^ p.set[w]
+			n += bits.OnesCount64(diff[w])
+		}
+		seg := flat[k-n : k : k]
+		j := 0
+		for w, x := range diff {
+			for ; x != 0; x &= x - 1 {
+				seg[j] = block[w*64+bits.TrailingZeros64(x)]
+				j++
+			}
+		}
+		out[i] = seg
+		k -= n
+		set, prev = p.set, p.prev
 	}
 	return out, nil
 }
