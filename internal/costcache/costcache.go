@@ -18,21 +18,16 @@
 // algorithm needs against a fresh table) is unchanged whether the
 // shared cache is cold or warm.
 //
-// Concurrency: lookups take a read lock; a miss computes the value
-// outside any lock (the functions are pure) and inserts under the write
-// lock with a re-check. Because every value is a pure function of its
-// key, concurrent racers compute bit-identical values and it does not
-// matter whose insert wins — results are deterministic under any
-// interleaving, which is what lets parallel sweep workers share one
-// cache without perturbing byte-identical figure output.
+// Concurrency: each probe kind is a memo.Counted table, whose values
+// are pure functions of their keys and whose first insert wins, so
+// parallel sweep workers share one cache without perturbing
+// byte-identical figure output (see package memo).
 package costcache
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/gpu"
+	"github.com/shus-lab/hios/internal/memo"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -46,25 +41,17 @@ type kernelEntry struct {
 // Cache memoizes kernel, transfer and stage probes by shape signature.
 // The zero value is not ready; use New (or the process-wide Shared).
 type Cache struct {
-	mu        sync.RWMutex
-	kernels   map[gpu.KernelSig]kernelEntry
-	transfers map[gpu.TransferSig]units.Millis
-	stages    map[cost.StageSig]units.Millis
-
-	kernelHits     atomic.Int64
-	kernelMisses   atomic.Int64
-	transferHits   atomic.Int64
-	transferMisses atomic.Int64
-	stageHits      atomic.Int64
-	stageMisses    atomic.Int64
+	kernels   *memo.Counted[gpu.KernelSig, kernelEntry]
+	transfers *memo.Counted[gpu.TransferSig, units.Millis]
+	stages    *memo.Counted[cost.StageSig, units.Millis]
 }
 
 // New returns an empty cache.
 func New() *Cache {
 	return &Cache{
-		kernels:   make(map[gpu.KernelSig]kernelEntry),
-		transfers: make(map[gpu.TransferSig]units.Millis),
-		stages:    make(map[cost.StageSig]units.Millis),
+		kernels:   memo.NewCounted[gpu.KernelSig, kernelEntry](),
+		transfers: memo.NewCounted[gpu.TransferSig, units.Millis](),
+		stages:    memo.NewCounted[cost.StageSig, units.Millis](),
 	}
 }
 
@@ -80,22 +67,10 @@ func Shared() *Cache { return shared }
 // memoized by shape.
 func (c *Cache) KernelTime(d gpu.Device, k gpu.Kernel) (units.Millis, float64) {
 	sig := d.Sig(k)
-	c.mu.RLock()
-	e, ok := c.kernels[sig]
-	c.mu.RUnlock()
-	if ok {
-		c.kernelHits.Add(1)
-		return e.time, e.util
+	e, ok := c.kernels.Get(&sig)
+	if !ok {
+		e, _ = c.kernels.Put(sig, kernelEntry{time: d.Time(k), util: d.Utilization(k)})
 	}
-	c.kernelMisses.Add(1)
-	e = kernelEntry{time: d.Time(k), util: d.Utilization(k)}
-	c.mu.Lock()
-	if prev, ok := c.kernels[sig]; ok {
-		e = prev // a racer inserted the same pure value first
-	} else {
-		c.kernels[sig] = e
-	}
-	c.mu.Unlock()
 	return e.time, e.util
 }
 
@@ -103,22 +78,10 @@ func (c *Cache) KernelTime(d gpu.Device, k gpu.Kernel) (units.Millis, float64) {
 // by shape.
 func (c *Cache) TransferTime(l gpu.Link, b units.Bytes) units.Millis {
 	sig := l.Sig(b)
-	c.mu.RLock()
-	t, ok := c.transfers[sig]
-	c.mu.RUnlock()
-	if ok {
-		c.transferHits.Add(1)
-		return t
+	t, ok := c.transfers.Get(&sig)
+	if !ok {
+		t, _ = c.transfers.Put(sig, l.TransferTime(b))
 	}
-	c.transferMisses.Add(1)
-	t = l.TransferTime(b)
-	c.mu.Lock()
-	if prev, ok := c.transfers[sig]; ok {
-		t = prev
-	} else {
-		c.transfers[sig] = t
-	}
-	c.mu.Unlock()
 	return t
 }
 
@@ -127,22 +90,10 @@ func (c *Cache) TransferTime(l gpu.Link, b units.Bytes) units.Millis {
 // the cached value is bit-identical to a direct evaluation.
 func (c *Cache) StageTime(ct cost.Contention, items []cost.Item) units.Millis {
 	sig := ct.Sig(items)
-	c.mu.RLock()
-	t, ok := c.stages[sig]
-	c.mu.RUnlock()
-	if ok {
-		c.stageHits.Add(1)
-		return t
+	t, ok := c.stages.Get(&sig)
+	if !ok {
+		t, _ = c.stages.Put(sig, ct.StageTimeItems(items))
 	}
-	c.stageMisses.Add(1)
-	t = ct.StageTimeItems(items)
-	c.mu.Lock()
-	if prev, ok := c.stages[sig]; ok {
-		t = prev
-	} else {
-		c.stages[sig] = t
-	}
-	c.mu.Unlock()
 	return t
 }
 
@@ -160,40 +111,27 @@ func (s Stats) Probes() int64 {
 		s.StageHits + s.StageMisses
 }
 
-// Stats snapshots the cache. Sizes are read under the lock; the counters
-// are monotonic atomics (a concurrent probe may be counted before its
-// insert is visible, so Hits+Misses can briefly exceed the map sizes —
-// never the reverse).
+// Stats snapshots the cache. The counters are monotonic atomics (a
+// concurrent probe may be counted before its insert is visible, so
+// Hits+Misses can briefly exceed the map sizes — never the reverse).
 func (c *Cache) Stats() Stats {
-	c.mu.RLock()
-	s := Stats{Kernels: len(c.kernels), Transfers: len(c.transfers), Stages: len(c.stages)}
-	c.mu.RUnlock()
-	s.KernelHits = c.kernelHits.Load()
-	s.KernelMisses = c.kernelMisses.Load()
-	s.TransferHits = c.transferHits.Load()
-	s.TransferMisses = c.transferMisses.Load()
-	s.StageHits = c.stageHits.Load()
-	s.StageMisses = c.stageMisses.Load()
-	return s
+	return Stats{
+		Kernels:        c.kernels.Len(),
+		Transfers:      c.transfers.Len(),
+		Stages:         c.stages.Len(),
+		KernelHits:     c.kernels.Hits(),
+		TransferHits:   c.transfers.Hits(),
+		StageHits:      c.stages.Hits(),
+		KernelMisses:   c.kernels.Misses(),
+		TransferMisses: c.transfers.Misses(),
+		StageMisses:    c.stages.Misses(),
+	}
 }
 
 // Reset drops every cached value and zeroes the counters. Results are
 // unaffected by when (or whether) this is called — only hit rates are.
 func (c *Cache) Reset() {
-	// Fresh maps are built before the lock so the critical section is
-	// three pointer swaps, not three allocations.
-	kernels := make(map[gpu.KernelSig]kernelEntry)
-	transfers := make(map[gpu.TransferSig]units.Millis)
-	stages := make(map[cost.StageSig]units.Millis)
-	c.mu.Lock()
-	c.kernels = kernels
-	c.transfers = transfers
-	c.stages = stages
-	c.mu.Unlock()
-	c.kernelHits.Store(0)
-	c.kernelMisses.Store(0)
-	c.transferHits.Store(0)
-	c.transferMisses.Store(0)
-	c.stageHits.Store(0)
-	c.stageMisses.Store(0)
+	c.kernels.Reset()
+	c.transfers.Reset()
+	c.stages.Reset()
 }

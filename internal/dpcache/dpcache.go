@@ -20,35 +20,28 @@
 // model) never reach it, so profiling accounting is unchanged whether
 // this cache is cold or warm.
 //
-// Concurrency: lookups take a read lock; a miss computes the value
-// outside any lock (the DP is pure) and inserts under the write lock
-// with a re-check. Because every value is a pure function of its key,
-// concurrent racers compute bit-identical values and it does not matter
-// whose insert wins — results are deterministic under any interleaving,
-// which is what lets parallel block solvers and sweep workers share one
-// cache without perturbing byte-identical figure output.
+// Concurrency: the solves live in a memo.Counted table, whose values are
+// pure functions of their keys and whose first insert wins, so parallel
+// block solvers and sweep workers share one cache without perturbing
+// byte-identical figure output (see package memo).
 package dpcache
 
 import (
 	"encoding/binary"
 	"math"
-	"sync"
-	"sync/atomic"
+
+	"github.com/shus-lab/hios/internal/memo"
 )
 
 // Cache memoizes block solves by canonical signature. The zero value is
 // not ready; use New (or the process-wide Shared).
 type Cache struct {
-	mu     sync.RWMutex
-	blocks map[string][][]int32
-
-	hits   atomic.Int64
-	misses atomic.Int64
+	blocks *memo.Counted[string, [][]int32]
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{blocks: make(map[string][][]int32)}
+	return &Cache{blocks: memo.NewCounted[string, [][]int32]()}
 }
 
 var shared = New()
@@ -65,27 +58,14 @@ func Shared() *Cache { return shared }
 // OpID stages. The key may be a reusable scratch buffer: the lookup
 // converts it without allocating, and Get never retains it.
 func (c *Cache) Get(key []byte) ([][]int32, bool) {
-	c.mu.RLock()
-	st, ok := c.blocks[string(key)]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return st, true
-	}
-	c.misses.Add(1)
-	return nil, false
+	return memo.GetBytes(c.blocks, key)
 }
 
 // Put memoizes a solve. The stages are retained as-is and must not be
 // mutated afterwards; on a racing double-compute the first insert wins,
 // which is immaterial because racers compute bit-identical values.
 func (c *Cache) Put(key []byte, stages [][]int32) {
-	k := string(key)
-	c.mu.Lock()
-	if _, ok := c.blocks[k]; !ok {
-		c.blocks[k] = stages
-	}
-	c.mu.Unlock()
+	c.blocks.Put(string(key), stages)
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -98,31 +78,16 @@ type Stats struct {
 // Probes returns the total lookup count the cache has served.
 func (s Stats) Probes() int64 { return s.Hits + s.Misses }
 
-// Stats snapshots the cache. The size is read under the lock; the
-// counters are monotonic atomics (a concurrent miss may be counted
-// before its insert is visible, so Hits+Misses can briefly exceed the
-// map size — never the reverse).
+// Stats snapshots the cache. The counters are monotonic atomics (a
+// concurrent miss may be counted before its insert is visible, so
+// Hits+Misses can briefly exceed the map size — never the reverse).
 func (c *Cache) Stats() Stats {
-	c.mu.RLock()
-	s := Stats{Blocks: len(c.blocks)}
-	c.mu.RUnlock()
-	s.Hits = c.hits.Load()
-	s.Misses = c.misses.Load()
-	return s
+	return Stats{Blocks: c.blocks.Len(), Hits: c.blocks.Hits(), Misses: c.blocks.Misses()}
 }
 
 // Reset drops every cached solve and zeroes the counters. Results are
 // unaffected by when (or whether) this is called — only hit rates are.
-func (c *Cache) Reset() {
-	// The fresh map is built before the lock so the critical section is
-	// one pointer swap, not an allocation.
-	blocks := make(map[string][][]int32)
-	c.mu.Lock()
-	c.blocks = blocks
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
+func (c *Cache) Reset() { c.blocks.Reset() }
 
 // Sig builds canonical block signatures. It is an append-only byte
 // encoder over a caller-owned buffer: integers are varint-coded, floats

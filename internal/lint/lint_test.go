@@ -46,6 +46,17 @@ func TestDeterminismScopeCoversMPIAndRandDAG(t *testing.T) {
 	}
 }
 
+// internal/memo holds the double-checked insert costcache, dpcache and
+// profile share, so the lock, map-order and float checks covering those
+// caches must cover it too. Removing it from a scope fails the unmatched
+// want comments here.
+func TestMemoScope(t *testing.T) {
+	const pkg = lint.ModulePath + "/internal/memo/fixture"
+	linttest.Run(t, lint.LockSafe, "testdata/locksafe", pkg)
+	linttest.Run(t, lint.MapOrder, "testdata/maporder", pkg)
+	linttest.Run(t, lint.FloatCmp, "testdata/floatcmp", pkg)
+}
+
 func TestPubAPI(t *testing.T) {
 	linttest.Run(t, lint.PubAPI, "testdata/pubapi", lint.ModulePath+"/cmd/fixture")
 }
@@ -225,7 +236,7 @@ func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"floatexact": 12, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, queue-point dedupe
 		"seedflow":   3,  // ios dp.go zobrist splitmix64 stream constants
-		"locksafe":   1,  // profile.Export snapshot clone under the read lock
+		"locksafe":   0,  // none: memo.Map.Sorted sizes its snapshot outside the lock
 		"hotpath":    11, // scheduler and serving entry-point roots (propagation covers the rest)
 	}
 	got := map[string]int{}

@@ -9,8 +9,9 @@ import (
 )
 
 // LockSafe enforces the lock discipline of the mutex-bearing packages
-// (internal/costcache, internal/dpcache, internal/profile,
-// internal/parallel, internal/runtime, internal/cluster): critical
+// (internal/costcache, internal/dpcache, internal/memo,
+// internal/profile, internal/parallel, internal/runtime,
+// internal/cluster): critical
 // sections stay short, allocation-free and balanced. Concretely it flags
 //
 //   - allocation under a held sync.Mutex/RWMutex — make, new, slice and
@@ -33,8 +34,8 @@ import (
 //   - double-checked insert without a re-check: a map read under RLock
 //     followed by a store under Lock with no second read between the
 //     Lock and the store loses the racer's insert silently; both the
-//     else-branch re-check (costcache) and the defer-unlock early-return
-//     re-check (profile) are accepted.
+//     else-branch re-check and the defer-unlock early-return re-check
+//     (memo.Map.Put) are accepted.
 //
 // The analysis is per-function and positional: a critical section is the
 // source span from a Lock/RLock call to its matching unlock (function end
@@ -49,7 +50,7 @@ var LockSafe = &analysis.Analyzer{
 }
 
 func runLockSafe(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/costcache", "internal/dpcache", "internal/profile", "internal/parallel", "internal/runtime", "internal/cluster") {
+	if !inScope(pass.Path, "internal/costcache", "internal/dpcache", "internal/memo", "internal/profile", "internal/parallel", "internal/runtime", "internal/cluster") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -34,7 +34,7 @@ var MapOrder = &analysis.Analyzer{
 }
 
 func runMapOrder(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/sched", "internal/sim", "internal/cost", "internal/costcache", "internal/dpcache", "internal/experiments", "internal/cluster", "internal/specflag", "internal/graph", "cmd") {
+	if !inScope(pass.Path, "internal/sched", "internal/sim", "internal/cost", "internal/costcache", "internal/dpcache", "internal/memo", "internal/experiments", "internal/cluster", "internal/specflag", "internal/graph", "cmd") {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -1,9 +1,12 @@
 package profile
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/units"
@@ -44,45 +47,30 @@ type StageEntry struct {
 
 // Export serializes every measurement the table has performed so far.
 func (t *CostTable) Export(model string) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	snap := Snapshot{
 		Model:   model,
 		Warmup:  t.warmup,
 		Repeats: t.repeats,
-		//lint:locksafe snapshot clone: the copy must allocate while the read lock pins the table, and Export is a cold serialization path
-		Ops: make(map[graph.OpID]units.Millis, len(t.ops)),
+		Ops:     make(map[graph.OpID]units.Millis, t.ops.Len()),
 	}
-	for k, v := range t.ops {
-		snap.Ops[k] = v
+	for _, e := range t.ops.Sorted(cmp.Compare) {
+		snap.Ops[e.Key] = e.Val
 	}
-	for k, v := range t.comms {
-		snap.Comms = append(snap.Comms, CommEntry{From: k[0], To: k[1], Ms: v})
+	for _, e := range t.comms.Sorted(func(a, b [2]graph.OpID) int { return slices.Compare(a[:], b[:]) }) {
+		snap.Comms = append(snap.Comms, CommEntry{From: e.Key[0], To: e.Key[1], Ms: e.Val})
 	}
-	sort.Slice(snap.Comms, func(i, j int) bool {
-		if snap.Comms[i].From != snap.Comms[j].From {
-			return snap.Comms[i].From < snap.Comms[j].From
-		}
-		return snap.Comms[i].To < snap.Comms[j].To
-	})
-	for k, v := range t.stages {
-		snap.Stages = append(snap.Stages, StageEntry{Ops: k.members(), Ms: v})
+	for _, e := range t.stages.Sorted(stageSig.compare) {
+		snap.Stages = append(snap.Stages, StageEntry{Ops: e.Key.members(), Ms: e.Val})
 	}
-	sort.Slice(snap.Stages, func(i, j int) bool {
-		a, b := snap.Stages[i].Ops, snap.Stages[j].Ops
-		for x := 0; x < len(a) && x < len(b); x++ {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return len(a) < len(b)
-	})
 	return json.MarshalIndent(snap, "", " ")
 }
 
 // Import parses a Snapshot into a frozen cost model: lookups hit only the
 // recorded measurements, and a probe the profile never performed returns
-// an error through the panic-free Missing reporting of FrozenModel.
+// an error through the panic-free Missing reporting of FrozenModel. A
+// snapshot is rejected when it records a negative time, two different
+// times for one probe (a stage's members in any order name one probe),
+// or a stage of fewer than two operators, which no table records.
 func Import(data []byte) (*FrozenModel, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -90,20 +78,44 @@ func Import(data []byte) (*FrozenModel, error) {
 	}
 	fm := &FrozenModel{
 		Model:  snap.Model,
-		ops:    snap.Ops,
+		ops:    make(map[graph.OpID]units.Millis, len(snap.Ops)),
 		comms:  make(map[[2]graph.OpID]units.Millis, len(snap.Comms)),
 		stages: make(map[stageSig]units.Millis, len(snap.Stages)),
 	}
-	if fm.ops == nil {
-		fm.ops = map[graph.OpID]units.Millis{}
+	for _, v := range slices.Sorted(maps.Keys(snap.Ops)) { // the first bad op reported is the lowest
+		if err := record(fm.ops, v, snap.Ops[v]); err != nil {
+			return nil, fmt.Errorf("profile: op %d: %w", v, err)
+		}
 	}
 	for _, c := range snap.Comms {
-		fm.comms[[2]graph.OpID{c.From, c.To}] = c.Ms
+		if err := record(fm.comms, [2]graph.OpID{c.From, c.To}, c.Ms); err != nil {
+			return nil, fmt.Errorf("profile: comm %d->%d: %w", c.From, c.To, err)
+		}
 	}
 	for _, st := range snap.Stages {
-		fm.stages[makeStageSig(st.Ops)] = st.Ms
+		if len(st.Ops) < 2 {
+			// StageTime answers a one-operator stage from the op table.
+			return nil, fmt.Errorf("profile: stage %v: fewer than two operators", st.Ops)
+		}
+		if err := record(fm.stages, makeStageSig(st.Ops), st.Ms); err != nil {
+			return nil, fmt.Errorf("profile: stage %v: %w", st.Ops, err)
+		}
 	}
 	return fm, nil
+}
+
+// record stores one imported measurement, rejecting a negative time or a
+// second, different time for the same probe. A bit-identical repeat
+// records nothing new and is accepted.
+func record[K comparable](m map[K]units.Millis, k K, ms units.Millis) error {
+	if ms < 0 {
+		return fmt.Errorf("negative time %v ms", float64(ms))
+	}
+	if old, ok := m[k]; ok && math.Float64bits(float64(old)) != math.Float64bits(float64(ms)) {
+		return fmt.Errorf("recorded twice, at %v and %v ms", float64(old), float64(ms))
+	}
+	m[k] = ms
+	return nil
 }
 
 // FrozenModel is a cost model backed purely by recorded measurements.

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"encoding/json"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched/lp"
+	"github.com/shus-lab/hios/internal/units"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -118,4 +122,108 @@ func TestStageSigOrderInsensitive(t *testing.T) {
 	if wideA != wideB {
 		t.Fatal("wide stageSig depends on member order")
 	}
+}
+
+// TestImportRejectsBadMeasurements pins Import's validation: a negative
+// time, two different times for one probe (stage members in any order
+// name one probe) and a stage of fewer than two operators are errors; a
+// bit-identical repeat is not.
+func TestImportRejectsBadMeasurements(t *testing.T) {
+	cases := []struct {
+		name, snap, err string
+	}{
+		{"negative op", `{"ops":{"0":-5}}`, "profile: op 0: negative time -5 ms"},
+		{"negative comm", `{"comms":[{"from":0,"to":1,"ms":-1},{"from":0,"to":1,"ms":3}]}`,
+			"profile: comm 0->1: negative time -1 ms"},
+		{"conflicting comms", `{"comms":[{"from":0,"to":1,"ms":1},{"from":0,"to":1,"ms":3}]}`,
+			"profile: comm 0->1: recorded twice, at 1 and 3 ms"},
+		{"negative stage", `{"stages":[{"ops":[0,1],"ms":-2}]}`, "profile: stage [0 1]: negative time -2 ms"},
+		{"conflicting stages", `{"stages":[{"ops":[0,1],"ms":1},{"ops":[1,0],"ms":2}]}`,
+			"profile: stage [1 0]: recorded twice, at 1 and 2 ms"},
+		{"singleton stage", `{"stages":[{"ops":[3],"ms":7}]}`, "profile: stage [3]: fewer than two operators"},
+		{"empty stage", `{"stages":[{"ops":[],"ms":7}]}`, "profile: stage []: fewer than two operators"},
+		{"null ops", `{"ops":null}`, ""},
+		{"repeated comm", `{"comms":[{"from":0,"to":1,"ms":3},{"from":0,"to":1,"ms":3}]}`, ""},
+		{"repeated stage", `{"stages":[{"ops":[0,1],"ms":1},{"ops":[1,0],"ms":1}]}`, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fm, err := Import([]byte(tc.snap))
+			if tc.err == "" {
+				if err != nil {
+					t.Fatalf("Import(%s): %v", tc.snap, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("Import(%s) accepted the snapshot; OpTime(0)=%v CommTime(0,1)=%v", tc.snap, fm.OpTime(0), fm.CommTime(0, 1))
+			}
+			if err.Error() != tc.err {
+				t.Fatalf("Import(%s) error %q, want %q", tc.snap, err, tc.err)
+			}
+		})
+	}
+}
+
+// TestStageSigCompareMatchesMembers pins the key order Export sorts
+// stages by: comparing two keys must agree with comparing their sorted
+// member lists, across the inline and spill encodings.
+func TestStageSigCompareMatchesMembers(t *testing.T) {
+	sets := [][]graph.OpID{
+		{0, 1}, {1, 0, 2}, {0, 2}, {1, 2},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8},
+		{0, 1, 2, 3, 4, 5, 6, 7, 9},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{0, 1, 2, 3, 4, 5, 6, 8},
+		{1 << 40, 3}, {3, 1 << 33},
+	}
+	for _, a := range sets {
+		for _, b := range sets {
+			ka, kb := makeStageSig(a), makeStageSig(b)
+			if got, want := ka.compare(kb), slices.Compare(ka.members(), kb.members()); got != want {
+				t.Errorf("compare(%v, %v) = %d, members compare %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// FuzzImport hardens the profile loader: arbitrary bytes must either be
+// rejected, or load a model in which every probe the snapshot records
+// returns its recorded time bit for bit, without a miss.
+func FuzzImport(f *testing.F) {
+	f.Add([]byte(`{"model":"m","ops":{"0":2,"1":3},"comms":[{"from":0,"to":1,"ms":0.5}],"stages":[{"ops":[1,0],"ms":4}]}`))
+	f.Add([]byte(`{"ops":{"0":-5}}`))
+	f.Add([]byte(`{"stages":[{"ops":[9,8,7,6,5,4,3,2,1,0],"ms":1}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fm, err := Import(data)
+		if err != nil {
+			return
+		}
+		var snap Snapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Fatalf("Import accepted a snapshot json rejects: %v", err)
+		}
+		same := func(got, want units.Millis) bool {
+			return math.Float64bits(float64(got)) == math.Float64bits(float64(want))
+		}
+		for v, ms := range snap.Ops {
+			if got := fm.OpTime(v); !same(got, ms) {
+				t.Fatalf("op %d: loaded %v, recorded %v", v, got, ms)
+			}
+		}
+		for _, c := range snap.Comms {
+			if got := fm.CommTime(c.From, c.To); !same(got, c.Ms) {
+				t.Fatalf("comm %d->%d: loaded %v, recorded %v", c.From, c.To, got, c.Ms)
+			}
+		}
+		for _, st := range snap.Stages {
+			if got := fm.StageTime(st.Ops); !same(got, st.Ms) {
+				t.Fatalf("stage %v: loaded %v, recorded %v", st.Ops, got, st.Ms)
+			}
+		}
+		if fm.Misses() != 0 {
+			t.Fatalf("recorded probes missed %d times", fm.Misses())
+		}
+	})
 }

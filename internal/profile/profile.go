@@ -13,11 +13,15 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
+	"github.com/shus-lab/hios/internal/memo"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -30,29 +34,31 @@ const (
 
 // CostTable is a memoizing, probe-counting cost.Model.
 //
-// Lookups take a read lock only, so concurrent sweeps sharing one table
-// scale with cores once the working set is memoized; a miss upgrades to
-// the write lock with a double-check, which also keeps the probe counters
-// exact. Concurrent use requires the wrapped model's own lookups to be
-// safe for concurrent readers (every model in internal/cost is: they are
-// pure functions over immutable graph data).
+// Each probe kind is a memo.Map: lookups take a read lock only, so
+// concurrent sweeps sharing one table scale with cores once the working
+// set is memoized, and a miss inserts under the write lock with a
+// re-check, which also keeps the probe counts exact. The maps carry no
+// hit counters, so a memoized probe costs one read-locked lookup.
+// Concurrent use requires the wrapped model's own lookups to be safe for
+// concurrent readers (every model in internal/cost is: they are pure
+// functions over immutable graph data).
 //
 // Determinism under concurrency: memoized values and probe counts are
-// exact regardless of interleaving (misses double-check under the write
-// lock). Only SimulatedMs accumulates in probe-completion order, so a
-// table probed from several goroutines may report last-ulp differences
-// across runs; probe it from one goroutine (as Fig. 14 does) when the
-// exact float matters.
+// exact regardless of interleaving. Only SimulatedMs accumulates in
+// probe-completion order, so a table probed from several goroutines may report
+// last-ulp differences across runs; probe it from one goroutine (as
+// Fig. 14 does) when the exact float matters.
 type CostTable struct {
 	inner   cost.Model
 	warmup  int
 	repeats int
 
-	mu     sync.RWMutex
-	ops    map[graph.OpID]units.Millis
-	stages map[stageSig]units.Millis
-	comms  map[[2]graph.OpID]units.Millis
-	simMs  units.Millis
+	ops    *memo.Map[graph.OpID, units.Millis]
+	stages *memo.Map[stageSig, units.Millis]
+	comms  *memo.Map[[2]graph.OpID, units.Millis]
+
+	mu    sync.Mutex // guards simMs
+	simMs units.Millis
 }
 
 var _ cost.Model = (*CostTable)(nil)
@@ -70,49 +76,39 @@ func NewTable(m cost.Model, warmup, repeats int) *CostTable {
 		inner:   m,
 		warmup:  warmup,
 		repeats: repeats,
-		ops:     make(map[graph.OpID]units.Millis),
-		stages:  make(map[stageSig]units.Millis),
-		comms:   make(map[[2]graph.OpID]units.Millis),
+		ops:     memo.New[graph.OpID, units.Millis](),
+		stages:  memo.New[stageSig, units.Millis](),
+		comms:   memo.New[[2]graph.OpID, units.Millis](),
 	}
+}
+
+// measured returns the value a probe's Put left in the table, charging
+// the simulated profiler time only when this call stored it: a racer
+// that lost measured nothing new.
+func (t *CostTable) measured(x units.Millis, stored bool) units.Millis {
+	if stored {
+		t.mu.Lock()
+		t.simMs += x.Scale(float64(t.warmup + t.repeats))
+		t.mu.Unlock()
+	}
+	return x
 }
 
 // OpTime implements cost.Model.
 func (t *CostTable) OpTime(v graph.OpID) units.Millis {
-	t.mu.RLock()
-	x, ok := t.ops[v]
-	t.mu.RUnlock()
-	if ok {
+	if x, ok := t.ops.Get(&v); ok {
 		return x
 	}
-	x = t.inner.OpTime(v)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.ops[v]; ok {
-		return old // another prober measured it first
-	}
-	t.ops[v] = x
-	t.simMs += x.Scale(float64(t.warmup + t.repeats))
-	return x
+	return t.measured(t.ops.Put(v, t.inner.OpTime(v)))
 }
 
 // CommTime implements cost.Model.
 func (t *CostTable) CommTime(u, v graph.OpID) units.Millis {
 	key := [2]graph.OpID{u, v}
-	t.mu.RLock()
-	x, ok := t.comms[key]
-	t.mu.RUnlock()
-	if ok {
+	if x, ok := t.comms.Get(&key); ok {
 		return x
 	}
-	x = t.inner.CommTime(u, v)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.comms[key]; ok {
-		return old
-	}
-	t.comms[key] = x
-	t.simMs += x.Scale(float64(t.warmup + t.repeats))
-	return x
+	return t.measured(t.comms.Put(key, t.inner.CommTime(u, v)))
 }
 
 // StageTime implements cost.Model. Probes are keyed by the sorted member
@@ -122,21 +118,10 @@ func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 		return t.OpTime(ops[0])
 	}
 	key := makeStageSig(ops)
-	t.mu.RLock()
-	x, ok := t.stages[key]
-	t.mu.RUnlock()
-	if ok {
+	if x, ok := t.stages.Get(&key); ok {
 		return x
 	}
-	x = t.inner.StageTime(ops)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if old, ok := t.stages[key]; ok {
-		return old
-	}
-	t.stages[key] = x
-	t.simMs += x.Scale(float64(t.warmup + t.repeats))
-	return x
+	return t.measured(t.stages.Put(key, t.inner.StageTime(ops)))
 }
 
 // Stats summarizes the measurements a real profiler would have performed.
@@ -153,14 +138,11 @@ func (s Stats) Probes() int { return s.OpProbes + s.StageProbes + s.CommProbes }
 
 // Stats returns the accounting snapshot.
 func (t *CostTable) Stats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return Stats{
-		OpProbes:    len(t.ops),
-		StageProbes: len(t.stages),
-		CommProbes:  len(t.comms),
-		SimulatedMs: t.simMs,
-	}
+	s := Stats{OpProbes: t.ops.Len(), StageProbes: t.stages.Len(), CommProbes: t.comms.Len()}
+	t.mu.Lock()
+	s.SimulatedMs = t.simMs
+	t.mu.Unlock()
+	return s
 }
 
 // stageSigInline is how many member IDs a stageSig stores inline. The IOS
@@ -253,6 +235,21 @@ func putChunk(dst []byte, v uint64) {
 	dst[5] = byte(v >> 16)
 	dst[6] = byte(v >> 8)
 	dst[7] = byte(v)
+}
+
+// compare orders keys by their sorted member lists, lexicographically
+// with the shorter list first on a shared prefix. The spill string's
+// big-endian chunks compare bytewise in member order, so the inline
+// prefix, then the spill, then the width decide.
+func (k stageSig) compare(o stageSig) int {
+	n := min(k.n, o.n, stageSigInline)
+	if c := slices.Compare(k.ids[:n], o.ids[:n]); c != 0 {
+		return c
+	}
+	if c := strings.Compare(k.rest, o.rest); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.n, o.n)
 }
 
 // members reconstructs the sorted member set the key encodes.

@@ -212,3 +212,25 @@ func TestConcurrentProbesStayExact(t *testing.T) {
 		t.Fatalf("CommProbes = %d, want 8", st.CommProbes)
 	}
 }
+
+// TestHitsAllocFree pins the memoized probe path the schedulers' inner
+// loops run on: a hit of any kind builds its key and reads the table
+// without allocating.
+func TestHitsAllocFree(t *testing.T) {
+	cfg := randdag.Paper()
+	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 20, 4, 40, 3
+	g := randdag.MustGenerate(cfg)
+	tab := NewTable(cost.FromGraph(g, cost.DefaultContention()), 1, 1)
+	ops := []graph.OpID{3, 9, 1, 7}
+	tab.StageTime(ops)
+	tab.OpTime(5)
+	tab.CommTime(1, 2)
+	allocs := testing.AllocsPerRun(100, func() {
+		tab.StageTime(ops)
+		tab.OpTime(5)
+		tab.CommTime(1, 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("memoized probes allocate %v times, want 0", allocs)
+	}
+}

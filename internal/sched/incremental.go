@@ -45,12 +45,12 @@ import (
 // be read off each GPU's last untouched stage. The differential
 // property tests in incremental_test.go pin this.
 //
-// Both trials take an upper bound (the incumbent best latency) and
-// abort early — returning ok == false — as soon as the candidate's
+// TrialInsert takes an upper bound (the incumbent best latency) and
+// aborts early — returning ok == false — as soon as the candidate's
 // latency provably meets or exceeds it: every propagated stage finish is
-// a lower bound on the candidate's makespan. Pass Unbounded to force an
-// exact result. (A trial may also return ok == true with a latency at
-// or above the bound; callers comparing lat < best treat both alike.)
+// a lower bound on the candidate's makespan. (A trial may also return
+// ok == true with a latency at or above the bound; callers comparing
+// lat < best treat both alike.)
 //
 // The zero value is ready to use. Not safe for concurrent use; give
 // each goroutine its own.
@@ -60,8 +60,7 @@ type IncrementalEvaluator struct {
 	g     *graph.Graph
 	m     cost.Model
 	nGPUs int
-	ns    int          // baseline stage count
-	base  units.Millis // baseline latency
+	ns    int // baseline stage count
 
 	gpuLo    []int   // stage-id range of GPU gi: [gpuLo[gi], gpuLo[gi+1])
 	stageGPU []int32 // stage id -> GPU
@@ -94,19 +93,9 @@ type IncrementalEvaluator struct {
 	posBits []uint64       // queued scan positions (topo order or priority order)
 
 	// Last TrialFuse's merged-stage duration and finish, read back by
-	// CommitFuse's splice (valid under the trial's epoch), plus enough
-	// identity to recognize that the trial CommitFuse is asked to commit
-	// is the one whose propagation state is still live — the common case
-	// in the sliding-window pass, where the winning window size is the
-	// last one tried — so the commit can splice directly instead of
-	// re-running the propagation.
+	// CommitFuse's splice (valid under the trial's epoch).
 	fuseDur    units.Millis
 	fuseFinish units.Millis
-	lastGi     int
-	lastSi     int
-	lastP      int
-	lastLat    units.Millis
-	lastValid  bool
 
 	// TrialInsert scratch.
 	opStamp    []int64        // op -> epoch when a member of the inserted set
@@ -145,10 +134,6 @@ type IncrementalEvaluator struct {
 	one      [1]graph.OpID
 }
 
-// Unbounded disables a trial's early-exit bound, forcing the exact
-// candidate latency.
-var Unbounded = units.Millis(math.Inf(1))
-
 // errTrialCycle reports that a trial fusion would deadlock: the merged
 // stage lies on a directed cycle of the contracted stage graph. It
 // matches the full evaluator's cycle error under errors.Is.
@@ -177,7 +162,7 @@ func (ie *IncrementalEvaluator) Rebase(g *graph.Graph, m cost.Model, s *Schedule
 		ns += len(s.GPUs[gi].Stages)
 	}
 	ie.gpuLo[ie.nGPUs] = ns
-	ie.finishRebase(ns, lat)
+	ie.finishRebase(ns)
 	ie.buildStageClosure()
 	return lat, nil
 }
@@ -219,15 +204,14 @@ func (ie *IncrementalEvaluator) RebasePlacement(g *graph.Graph, m cost.Model, nG
 		}
 	}
 	ie.gpuLo[nGPUs] = ns
-	ie.finishRebase(ns, lat)
+	ie.finishRebase(ns)
 	return lat, nil
 }
 
 // finishRebase sizes the trial scratch for ns baseline stages and
 // records the per-stage GPU index.
-func (ie *IncrementalEvaluator) finishRebase(ns int, lat units.Millis) {
+func (ie *IncrementalEvaluator) finishRebase(ns int) {
 	ie.ns = ns
-	ie.base = lat
 	ie.stageGPU = growSliceCap(ie.stageGPU, ns)
 	for gi := 0; gi < ie.nGPUs; gi++ {
 		for id := ie.gpuLo[gi]; id < ie.gpuLo[gi+1]; id++ {
@@ -427,9 +411,6 @@ func growStamped(buf []int64, n int) []int64 {
 	return buf[:n]
 }
 
-// BaseLatency returns the latency of the current baseline.
-func (ie *IncrementalEvaluator) BaseLatency() units.Millis { return ie.base }
-
 // bumpEpoch opens a new trial: all stamps from earlier trials die.
 func (ie *IncrementalEvaluator) bumpEpoch() {
 	ie.epoch++
@@ -503,17 +484,15 @@ func (ie *IncrementalEvaluator) cleanMax(editGPU, deadLo, deadHi int) units.Mill
 // baseline by merging stages si..si+p of GPU gi into one concurrent
 // stage holding members (the sorted union of their operators, exactly
 // as the committed stage would store them). It returns the candidate's
-// latency and ok == true, or ok == false when the early-exit bound
-// proved the candidate cannot beat bound, or an error when the fusion
-// is invalid (a direct dependency inside the merged stage, or a cycle
-// through the contracted stage graph) — the same candidates, under the
-// same error precedence, the full evaluator rejects.
-func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, bound units.Millis) (units.Millis, bool, error) {
+// latency, or an error when the fusion is invalid (a direct dependency
+// inside the merged stage, or a cycle through the contracted stage
+// graph) — the same candidates, under the same error precedence, the
+// full evaluator rejects.
+func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID) (units.Millis, error) {
 	e := &ie.ev
 	lo := ie.gpuLo[gi] + si
 	hi := lo + p
 	ie.bumpEpoch()
-	ie.lastValid = false
 
 	// Direct-dependency check: the fused ids carry exactly p internal
 	// successor entries (their sequential chain); any extra one is a
@@ -528,7 +507,7 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 		}
 	}
 	if internal > p {
-		return 0, false, errTrialDirectDep
+		return 0, errTrialDirectDep
 	}
 
 	// Cycle check: every cycle the contraction can create passes
@@ -544,7 +523,7 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 			d |= ie.sbwd[id*w+wi]
 		}
 		if u&d&^rangeWordMask(wi, lo, hi) != 0 {
-			return 0, false, errTrialCycle
+			return 0, errTrialCycle
 		}
 	}
 
@@ -568,9 +547,6 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 	}
 	finishM := startM + durM
 	ie.fuseDur, ie.fuseFinish = durM, finishM
-	if finishM >= bound {
-		return 0, false, nil
-	}
 	latMax := finishM
 
 	// Seed the frontier: every stage depending on a member reads the
@@ -626,10 +602,6 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 			if fin > latMax {
 				latMax = fin
 			}
-			if fin >= bound {
-				ie.rollbackFinish(lo, hi)
-				return 0, false, nil
-			}
 			if fin != e.finish[x] { //lint:floatexact change-stop rule: bit-equal finish ends the wave
 				e.finish[x] = fin
 				for k := e.succOff[x]; k < e.succOff[x+1]; k++ {
@@ -650,13 +622,12 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 		latMax = c
 	}
 	ie.rollbackFinish(lo, hi)
-	ie.lastGi, ie.lastSi, ie.lastP, ie.lastLat, ie.lastValid = gi, si, p, latMax, true
-	return latMax, true, nil
+	return latMax, nil
 }
 
 // CommitFuse makes the TrialFuse candidate (gi, si, p, members) the new
-// baseline and returns its latency. It reruns the trial without a bound
-// and contracts the fused range out of the baseline CSR in place —
+// baseline and returns its latency. It reruns the trial and contracts
+// the fused range out of the baseline CSR in place —
 // remapping stage ids, dropping the p intra-range sequential edges,
 // merging the trial's recomputed times — then refreshes the recorded
 // topological order with a plain Kahn sweep and rebuilds the stage
@@ -672,24 +643,13 @@ func (ie *IncrementalEvaluator) TrialFuse(gi, si, p int, members []graph.OpID, b
 // operator maps go stale — neither is read before the next full
 // evaluation.
 func (ie *IncrementalEvaluator) CommitFuse(gi, si, p int, members []graph.OpID) (units.Millis, error) {
-	lat := ie.lastLat
-	if !(ie.lastValid && ie.lastGi == gi && ie.lastSi == si && ie.lastP == p) {
-		// The candidate's propagation state was overwritten by a later
-		// trial (or never ran): recompute it. A completed trial's state
-		// is exact regardless of the bound it ran under — the bound
-		// only causes early abandonment, which reports ok == false and
-		// leaves lastValid unset.
-		var err error
-		lat, _, err = ie.TrialFuse(gi, si, p, members, Unbounded)
-		if err != nil {
-			return 0, err
-		}
+	lat, err := ie.TrialFuse(gi, si, p, members)
+	if err != nil {
+		return 0, err
 	}
 	if err := ie.applyFuse(gi, si, p); err != nil {
 		return 0, err
 	}
-	ie.base = lat
-	ie.lastValid = false // the baseline the memo was relative to is gone
 	return lat, nil
 }
 
@@ -860,22 +820,16 @@ func (ie *IncrementalEvaluator) applyFuse(gi, si, p int) error {
 // Placement-mode stage graphs cannot cycle — every dependency edge,
 // sequential or data, points forward in the priority order — so unlike
 // TrialFuse there is no error case, and the priority position replaces
-// the recorded topological order as the propagation key.
+// the recorded topological order as the propagation key. A completed
+// trial leaves its full edit state (stamps, substitutions,
+// extra-dependency pools, recomputed times) for CommitInsert's splice.
 func (ie *IncrementalEvaluator) TrialInsert(gi int, ops []graph.OpID, bound units.Millis) (units.Millis, bool) {
-	return ie.insertCore(gi, ops, bound)
-}
-
-// insertCore runs the trial propagation shared by TrialInsert and
-// CommitInsert, leaving the full edit state (stamps, substitutions,
-// extra-dependency pools, recomputed times) for applyInsert to splice.
-func (ie *IncrementalEvaluator) insertCore(gi int, ops []graph.OpID, bound units.Millis) (units.Millis, bool) {
 	e := &ie.ev
 	g, m := ie.g, ie.m
 	k := len(ops)
 	ns := ie.ns
 	glo, ghi := ie.gpuLo[gi], ie.gpuLo[gi+1]
 	ie.bumpEpoch()
-	ie.lastValid = false
 	ie.touched = ie.touched[:0]
 	ie.insAfter = growSlice(ie.insAfter, k)
 	ie.insSeqPred = growSlice(ie.insSeqPred, k)
@@ -1120,14 +1074,13 @@ func (ie *IncrementalEvaluator) recomputeInserted(j, gi int, ops []graph.OpID) u
 // sequential edge, and dependency-entry order beyond that never
 // influences a max.
 func (ie *IncrementalEvaluator) CommitInsert(gi int, ops []graph.OpID) units.Millis {
-	lat, _ := ie.insertCore(gi, ops, Unbounded)
+	lat, _ := ie.TrialInsert(gi, ops, units.Millis(math.Inf(1)))
 	ie.applyInsert(gi, ops)
-	ie.base = lat
 	return lat
 }
 
-// applyInsert splices the edit state left by insertCore into the
-// baseline. Runs under the same epoch as the insertCore call.
+// applyInsert splices the edit state left by TrialInsert into the
+// baseline. Runs under the same epoch as the trial.
 func (ie *IncrementalEvaluator) applyInsert(gi int, ops []graph.OpID) {
 	e := &ie.ev
 	g, m := ie.g, ie.m

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,6 +11,9 @@ import (
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/units"
 )
+
+// unbounded disables TrialInsert's early-exit bound.
+var unbounded = units.Millis(math.Inf(1))
 
 // testGraph builds a small random layered model; the same seed always
 // yields the same instance.
@@ -58,9 +62,7 @@ func fuseCandidate(cur *Schedule, gi, si, p int) (*Schedule, []graph.OpID) {
 // property test: across 100 random layered graphs, every window fusion
 // candidate — including invalid ones — must agree with the full
 // evaluator on the materialized candidate schedule, bit for bit on the
-// latency and one-to-one on error presence. Bounded trials must either
-// return the exact value or correctly report the candidate cannot beat
-// the bound.
+// latency and one-to-one on error presence.
 func TestIncrementalFuseMatchesFull(t *testing.T) {
 	var ev Evaluator
 	for seed := int64(1); seed <= 100; seed++ {
@@ -92,7 +94,7 @@ func TestIncrementalFuseMatchesFull(t *testing.T) {
 			}
 			cand, members := fuseCandidate(cur, gi, si, p)
 			fullLat, fullErr := ev.Latency(g, m, cand)
-			gotLat, ok, gotErr := ie.TrialFuse(gi, si, p, members, Unbounded)
+			gotLat, gotErr := ie.TrialFuse(gi, si, p, members)
 			if (fullErr != nil) != (gotErr != nil) {
 				t.Fatalf("seed %d gi=%d si=%d p=%d: error mismatch: full=%v trial=%v",
 					seed, gi, si, p, fullErr, gotErr)
@@ -100,16 +102,9 @@ func TestIncrementalFuseMatchesFull(t *testing.T) {
 			if fullErr != nil {
 				continue
 			}
-			if !ok || gotLat != fullLat {
-				t.Fatalf("seed %d gi=%d si=%d p=%d: trial %v (ok=%v) vs full %v",
-					seed, gi, si, p, gotLat, ok, fullLat)
-			}
-			// Bounded by the exact value: the trial must either prove the
-			// candidate cannot beat the bound or return the exact value.
-			if lat, ok, err := ie.TrialFuse(gi, si, p, members, fullLat); err != nil {
-				t.Fatalf("seed %d: bounded trial errored: %v", seed, err)
-			} else if ok && lat != fullLat {
-				t.Fatalf("seed %d: bounded trial %v, want cutoff or %v", seed, lat, fullLat)
+			if gotLat != fullLat {
+				t.Fatalf("seed %d gi=%d si=%d p=%d: trial %v vs full %v",
+					seed, gi, si, p, gotLat, fullLat)
 			}
 		}
 	}
@@ -162,10 +157,10 @@ func TestIncrementalInsertMatchesFull(t *testing.T) {
 				}
 			}
 
-			best := Unbounded
+			best := unbounded
 			bestGPU := 0
 			for gi := 0; gi < nGPUs; gi++ {
-				gotLat, ok := ie.TrialInsert(gi, chunk, Unbounded)
+				gotLat, ok := ie.TrialInsert(gi, chunk, unbounded)
 				for _, v := range chunk {
 					place[v] = gi
 				}
@@ -200,9 +195,6 @@ func TestIncrementalInsertMatchesFull(t *testing.T) {
 			if committed != fullLat {
 				t.Fatalf("seed %d: CommitInsert %v vs full %v", seed, committed, fullLat)
 			}
-			if ie.BaseLatency() != fullLat {
-				t.Fatalf("seed %d: BaseLatency %v vs full %v", seed, ie.BaseLatency(), fullLat)
-			}
 			for i := len(taken) - 1; i >= 0; i-- {
 				remaining = append(remaining[:taken[i]], remaining[taken[i]+1:]...)
 			}
@@ -214,8 +206,8 @@ func TestIncrementalInsertMatchesFull(t *testing.T) {
 // through CommitFuse: each committed fusion's returned latency — and the
 // spliced baseline the next trials run against — must match a fresh full
 // evaluation of the materialized schedule. The best-of-p inner loop
-// exercises both CommitFuse paths: the winning window size is sometimes
-// the last trial (memo splice) and sometimes not (internal re-trial).
+// commits a winning window size that is sometimes the last trial and
+// sometimes an earlier one.
 func TestCommitFuseSequenceMatchesRebase(t *testing.T) {
 	var ev Evaluator
 	for seed := int64(1); seed <= 20; seed++ {
@@ -237,11 +229,11 @@ func TestCommitFuseSequenceMatchesRebase(t *testing.T) {
 				bestP := 0
 				for p := 1; p <= 3 && si+p < len(cur.GPUs[gi].Stages); p++ {
 					_, members := fuseCandidate(cur, gi, si, p)
-					lat, ok, err := ie.TrialFuse(gi, si, p, members, bestLat)
+					lat, err := ie.TrialFuse(gi, si, p, members)
 					if err != nil {
 						break
 					}
-					if ok && lat < bestLat {
+					if lat < bestLat {
 						bestLat, bestP = lat, p
 					}
 				}
@@ -276,9 +268,9 @@ func TestCommitFuseSequenceMatchesRebase(t *testing.T) {
 }
 
 // TestTrialFuseLeavesBaselineIntact pins the publish-and-rollback
-// contract: a trial (bounded or not, accepted or cut off) must leave the
-// baseline finish times exactly as Rebase built them, so any number of
-// trials can run back to back against one baseline.
+// contract: a trial (valid or rejected) must leave the baseline finish
+// times exactly as Rebase built them, so any number of trials can run
+// back to back against one baseline.
 func TestTrialFuseLeavesBaselineIntact(t *testing.T) {
 	g, m := testGraph(4242, 32)
 	nGPUs := 3
@@ -298,15 +290,11 @@ func TestTrialFuseLeavesBaselineIntact(t *testing.T) {
 		si := rng.Intn(len(stages) - 1)
 		p := 1
 		_, members := fuseCandidate(cur, gi, si, p)
-		bound := Unbounded
-		if trial%2 == 1 {
-			bound = ie.BaseLatency() * units.Millis(0.5+rng.Float64())
-		}
-		ie.TrialFuse(gi, si, p, members, bound)
+		ie.TrialFuse(gi, si, p, members)
 		for i, f := range ie.ev.finish {
 			if f != before[i] {
-				t.Fatalf("trial %d (gi=%d si=%d bound=%v): baseline finish[%d] drifted: %v != %v",
-					trial, gi, si, bound, i, f, before[i])
+				t.Fatalf("trial %d (gi=%d si=%d): baseline finish[%d] drifted: %v != %v",
+					trial, gi, si, i, f, before[i])
 			}
 		}
 	}

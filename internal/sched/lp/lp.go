@@ -68,34 +68,18 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 		return sched.Result{Schedule: sched.New(opt.GPUs), Latency: 0}, nil
 	}
 
-	// Priority indicators over the original graph, computed once.
-	prio := g.PriorityIndicators()
-	order := g.ByPriorityWith(prio)
+	// Priority order over the original graph, computed once.
+	order := g.ByPriority()
 
 	// The M trial mappings per extracted path run through the incremental
 	// evaluator: each trial re-propagates only the inserted path's dirty
 	// frontier, bounded by the incumbent best, and the winning mapping is
 	// committed by splicing the path into the baseline (CommitInsert)
-	// rather than re-evaluating the whole placement. That requires
-	// every data edge to point forward in the priority order — guaranteed
-	// for positive operator times, where descending p(v) is topological,
-	// and checked once here so degenerate graphs (zero-time operators can
-	// tie) fall back to full trial evaluations. Trial values are
-	// bit-identical either way.
+	// rather than re-evaluating the whole placement. That requires every
+	// data edge to point forward in the priority order, which
+	// ByPriority guarantees: it returns a topological order.
 	var ie sched.IncrementalEvaluator
-	var ev sched.Evaluator
 	var pf graph.PathFinder
-	pos := make([]int, n)
-	for i, op := range order {
-		pos[op] = i
-	}
-	incremental := true
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			incremental = false
-			break
-		}
-	}
 
 	unscheduled := make([]bool, n)
 	for i := range unscheduled {
@@ -105,10 +89,8 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	for i := range place {
 		place[i] = -1
 	}
-	if incremental {
-		if _, err := ie.RebasePlacement(g, m, opt.GPUs, order, place); err != nil {
-			return sched.Result{}, fmt.Errorf("lp: empty placement: %w", err)
-		}
+	if _, err := ie.RebasePlacement(g, m, opt.GPUs, order, place); err != nil {
+		return sched.Result{}, fmt.Errorf("lp: empty placement: %w", err)
 	}
 
 	remaining := n
@@ -129,40 +111,26 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 		// evaluates the placement directly — no Schedule object is
 		// built until the mapping loop settles. A trial cut off by the
 		// incumbent bound (ok == false) proved it cannot win: it never
-		// strictly beats best, which is also what breaks the tie.
+		// strictly beats best, which is also what breaks the tie. path
+		// is a directed chain, so its topological order is ascending
+		// priority position, as TrialInsert requires.
 		best := units.Millis(math.Inf(1))
 		bestGPU := 0
-		if incremental {
-			// path is a directed chain, so its topological order is
-			// ascending priority position, as TrialInsert requires.
-			for gi := 0; gi < opt.GPUs; gi++ {
-				if lat, ok := ie.TrialInsert(gi, path, best); ok && lat < best {
-					best, bestGPU = lat, gi
-				}
-			}
-		} else {
-			for gi := 0; gi < opt.GPUs; gi++ {
-				for _, v := range path {
-					place[v] = gi
-				}
-				lat, err := ev.LatencyFromPlacement(g, m, opt.GPUs, order, place)
-				if err != nil {
-					return sched.Result{}, fmt.Errorf("lp: trial mapping on GPU %d: %w", gi, err)
-				}
-				if lat < best {
-					best, bestGPU = lat, gi
-				}
+		for gi := 0; gi < opt.GPUs; gi++ {
+			if lat, ok := ie.TrialInsert(gi, path, best); ok && lat < best {
+				best, bestGPU = lat, gi
 			}
 		}
 		for _, v := range path {
 			place[v] = bestGPU
 		}
-		if incremental && remaining > 0 {
+		if remaining > 0 {
 			ie.CommitInsert(bestGPU, path)
 		}
 	}
 
 	s := sched.FromPlacement(opt.GPUs, order, place)
+	var ev sched.Evaluator
 	lat, err := ev.Latency(g, m, s)
 	if err != nil {
 		return sched.Result{}, err

@@ -78,13 +78,13 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 	order := g.ByPriority()
 
 	// Candidate fusions run through the incremental evaluator against the
-	// rebased baseline of cur: no candidate schedule is materialized, only
-	// the fusion's dirty cone is re-propagated, and the incumbent latency
-	// is the early-exit bound. Trial results are bit-identical to a full
-	// evaluation of the materialized candidate, so committed schedules
-	// (and the testdata goldens) are unchanged. Committing splices the
-	// winning fusion into the baseline (CommitFuse) instead of paying a
-	// full re-evaluation per improvement.
+	// rebased baseline of cur: no candidate schedule is materialized and
+	// only the fusion's dirty cone is re-propagated. Trial results are
+	// bit-identical to a full evaluation of the materialized candidate, so
+	// committed schedules (and the testdata goldens) are unchanged.
+	// Committing re-runs the winning trial and splices it into the
+	// baseline (CommitFuse) instead of paying a full re-evaluation per
+	// improvement.
 	members := make([]graph.OpID, 0, w)
 
 	for i := 0; i < len(order)-1; i++ {
@@ -133,7 +133,7 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 					members[b], members[b-1] = members[b-1], members[b]
 				}
 			}
-			lat, ok, err := ie.TrialFuse(gi, si, p, members, bestLat)
+			lat, err := ie.TrialFuse(gi, si, p, members)
 			if err != nil {
 				// The fusion created a dependency cycle in the
 				// scheduled computation graph (Algorithm 2,
@@ -141,7 +141,7 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 				// windows contain this one, so stop extending.
 				break
 			}
-			if ok && lat < bestLat {
+			if lat < bestLat {
 				bestLat = lat
 				bestP = p
 				bestStages = commitFusion(stages, si, p, members)
