@@ -109,8 +109,9 @@ func TestHotAllocCrossPackageFallback(t *testing.T) {
 // learned to cross packages, and this test pins that none of them fell
 // out of the hot set. A handful of public entry points keep their own
 // annotation because no static in-module hot caller exists (hot code uses
-// PathFinder.Find / Closure probes / IncrementalEvaluator directly); those
-// must attribute to themselves, proving they are roots, not propagated.
+// PathFinder.Find / Closure probes / the incremental evaluators
+// directly); those must attribute to themselves, proving they are roots,
+// not propagated.
 func TestCrossPackageHotPropagationRealModule(t *testing.T) {
 	pkgs, err := analysis.Load("../..", []string{"./..."})
 	if err != nil {
@@ -124,10 +125,10 @@ func TestCrossPackageHotPropagationRealModule(t *testing.T) {
 		"internal/sched.Evaluator.LatencyFromPlacement",
 		"internal/sched.Schedule.CompactClone",
 		"internal/sched.FromPlacement",
-		"internal/sched.IncrementalEvaluator.TrialFuse",
-		"internal/sched.IncrementalEvaluator.CommitFuse",
-		"internal/sched.IncrementalEvaluator.TrialInsert",
-		"internal/sched.IncrementalEvaluator.CommitInsert",
+		"internal/sched.FuseEvaluator.TrialFuse",
+		"internal/sched.FuseEvaluator.CommitFuse",
+		"internal/sched.InsertEvaluator.TrialInsert",
+		"internal/sched.InsertEvaluator.CommitInsert",
 	} {
 		root, ok := hot[key]
 		if !ok {

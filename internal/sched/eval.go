@@ -106,9 +106,9 @@ type Evaluator struct {
 	start   []units.Millis
 	finish  []units.Millis
 	dur     []units.Millis
-	topoSeq []int32      // stage ids in the order the Kahn sweep finished them
-	topoPos []int32      // stage id -> index in topoSeq
-	one     []graph.OpID // singleton-stage scratch for LatencyFromPlacement
+	topoSeq []int32       // stage ids in the order the Kahn sweep finished them
+	topoPos []int32       // stage id -> index in topoSeq
+	one     [1]graph.OpID // singleton-stage scratch for singletonTime
 }
 
 // Latency computes the makespan of a complete schedule, reusing the
@@ -123,9 +123,9 @@ func (e *Evaluator) Latency(g *graph.Graph, m cost.Model, s *Schedule) (units.Mi
 // LatencyPartial computes the makespan of a partial schedule, reusing the
 // evaluator's scratch buffers.
 //
-// Root annotation: the window search moved to IncrementalEvaluator, so the
-// only static in-module caller left is the cold convenience wrapper —
-// partial evaluation stays hot for external callers and benchmarks.
+// Root annotation: the window search moved to FuseEvaluator, so the only
+// static in-module caller left is the cold convenience wrapper — partial
+// evaluation stays hot for external callers and benchmarks.
 //
 //lint:hotpath
 func (e *Evaluator) LatencyPartial(g *graph.Graph, m cost.Model, s *Schedule) (units.Millis, error) {
@@ -153,7 +153,6 @@ func (e *Evaluator) LatencyFromPlacement(g *graph.Graph, m cost.Model, nGPUs int
 		}
 	}
 	e.growStageScratch(n, ns)
-	e.one = growSlice(e.one, 1)
 	id := 0
 	for gi := 0; gi < nGPUs; gi++ {
 		first := true
@@ -163,8 +162,7 @@ func (e *Evaluator) LatencyFromPlacement(g *graph.Graph, m cost.Model, nGPUs int
 			}
 			e.opStage[op] = id
 			e.place[op] = gi
-			e.one[0] = op
-			e.dur[id] = m.StageTime(e.one)
+			e.dur[id] = e.singletonTime(m, op)
 			if first {
 				e.seqPrev[id] = -1
 				first = false
@@ -175,6 +173,13 @@ func (e *Evaluator) LatencyFromPlacement(g *graph.Graph, m cost.Model, nGPUs int
 		}
 	}
 	return e.finishCompute(g, m, ns)
+}
+
+// singletonTime returns the cost model's time for the one-operator stage
+// {op}, staged through reusable scratch.
+func (e *Evaluator) singletonTime(m cost.Model, op graph.OpID) units.Millis {
+	e.one[0] = op
+	return m.StageTime(e.one[:])
 }
 
 // validate checks the structural invariants of s against g using scratch
@@ -325,8 +330,8 @@ func (e *Evaluator) finishCompute(g *graph.Graph, m cost.Model, ns int) (units.M
 	// Longest-path over the stage DAG (Kahn order); a leftover node
 	// means a cycle (deadlock: mutually waiting stages, the "implicit
 	// dependency" loop Algorithm 2 must detect). The visit order is
-	// recorded: it is a topological order of the stage DAG, which the
-	// incremental evaluator's dirty-frontier propagation keys on.
+	// recorded: it is a topological order of the stage DAG, which
+	// FuseEvaluator's dirty-frontier propagation keys on.
 	e.start = growSlice(e.start, ns)
 	e.finish = growSlice(e.finish, ns)
 	e.topoSeq = growSlice(e.topoSeq, ns)

@@ -71,7 +71,7 @@ func TestIncrementalFuseMatchesFull(t *testing.T) {
 		order, place := roundRobin(g, nGPUs)
 		cur := FromPlacement(nGPUs, order, place)
 
-		var ie IncrementalEvaluator
+		var ie FuseEvaluator
 		baseLat, err := ie.Rebase(g, m, cur)
 		if err != nil {
 			t.Fatalf("seed %d: Rebase: %v", seed, err)
@@ -128,9 +128,9 @@ func TestIncrementalInsertMatchesFull(t *testing.T) {
 		for i := range place {
 			place[i] = -1
 		}
-		var ie IncrementalEvaluator
-		if _, err := ie.RebasePlacement(g, m, nGPUs, order, place); err != nil {
-			t.Fatalf("seed %d: RebasePlacement: %v", seed, err)
+		var ie InsertEvaluator
+		if _, err := ie.Rebase(g, m, nGPUs, order, place); err != nil {
+			t.Fatalf("seed %d: Rebase: %v", seed, err)
 		}
 
 		rng := rand.New(rand.NewSource(seed * 6007))
@@ -216,7 +216,7 @@ func TestCommitFuseSequenceMatchesRebase(t *testing.T) {
 		order, place := roundRobin(g, nGPUs)
 		cur := FromPlacement(nGPUs, order, place)
 
-		var ie IncrementalEvaluator
+		var ie FuseEvaluator
 		curLat, err := ie.Rebase(g, m, cur)
 		if err != nil {
 			t.Fatalf("seed %d: Rebase: %v", seed, err)
@@ -277,7 +277,7 @@ func TestTrialFuseLeavesBaselineIntact(t *testing.T) {
 	order, place := roundRobin(g, nGPUs)
 	cur := FromPlacement(nGPUs, order, place)
 
-	var ie IncrementalEvaluator
+	var ie FuseEvaluator
 	if _, err := ie.Rebase(g, m, cur); err != nil {
 		t.Fatal(err)
 	}

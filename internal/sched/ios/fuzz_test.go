@@ -3,11 +3,14 @@ package ios
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/sched"
+	"github.com/shus-lab/hios/internal/sim"
+	"github.com/shus-lab/hios/internal/units"
 )
 
 // fuzzGraph decodes bytes into a small graph: one byte for the operator
@@ -74,4 +77,152 @@ func FuzzFinalizeSchedule(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzIncrementalMatchesEvaluate is the differential timing fuzzer: on
+// every graph Finalize accepts, the analytic evaluator, the event-driven
+// simulator and both incremental evaluators must give one latency.
+//   - The IOS schedule's sched.Latency and FuseEvaluator.Rebase agree bit
+//     for bit, and sim.Run agrees within TestMatchesEvaluator's 1e-6.
+//   - Every fusion candidate of that schedule and of a round-robin
+//     placement matches the full evaluator on the materialized candidate:
+//     error presence one to one, latency bit for bit. The best candidate
+//     is committed, CommitFuse must return its trial's latency, and the
+//     walk repeats on the spliced baseline until no fusion is valid.
+//   - The round-robin placement is built one operator at a time through
+//     InsertEvaluator; every trial and commit equals LatencyFromPlacement.
+//
+// The seed corpus lives in testdata/fuzz/FuzzIncrementalMatchesEvaluate.
+func FuzzIncrementalMatchesEvaluate(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		nGPUs := 1 + len(data)%3
+		g := fuzzGraph(data)
+		if err := g.Finalize(); err != nil {
+			return
+		}
+		m := cost.FromGraph(g, cost.DefaultContention())
+		// Blocks wider than 8 run the beam, so no input stalls on an exact
+		// solve of 20 independent operators and a short run covers many.
+		res, err := Schedule(g, m, Options{ExactLimit: 8})
+		if err != nil {
+			t.Fatalf("IOS on a finalized graph: %v", err)
+		}
+		full, err := sched.Latency(g, m, res.Schedule)
+		if err != nil {
+			t.Fatalf("Latency of the IOS schedule: %v", err)
+		}
+		var fe sched.FuseEvaluator
+		if lat, err := fe.Rebase(g, m, res.Schedule); err != nil || !sameBits(lat, full) {
+			t.Fatalf("FuseEvaluator.Rebase %v (%v), Latency %v", lat, err, full)
+		}
+		tr, err := sim.Run(g, m, res.Schedule)
+		if err != nil {
+			t.Fatalf("sim.Run of the IOS schedule: %v", err)
+		}
+		if d := tr.Latency - full; d >= 1e-6 || d <= -1e-6 {
+			t.Fatalf("sim.Run %v, Latency %v", tr.Latency, full)
+		}
+
+		order := g.ByPriority()
+		place := make([]int, g.NumOps())
+		for i := range place {
+			place[i] = -1
+		}
+		var ie sched.InsertEvaluator
+		var ev sched.Evaluator
+		if _, err := ie.Rebase(g, m, nGPUs, order, place); err != nil {
+			t.Fatalf("InsertEvaluator.Rebase of the empty placement: %v", err)
+		}
+		for i, op := range order {
+			gi := i % nGPUs
+			ops := []graph.OpID{op}
+			trial, ok := ie.TrialInsert(gi, ops, units.Millis(math.Inf(1)))
+			committed := ie.CommitInsert(gi, ops)
+			place[op] = gi
+			want, err := ev.LatencyFromPlacement(g, m, nGPUs, order, place)
+			if err != nil {
+				t.Fatalf("LatencyFromPlacement after %d ops: %v", i+1, err)
+			}
+			if !ok || !sameBits(trial, want) || !sameBits(committed, want) {
+				t.Fatalf("insert op %d on GPU %d: trial %v (ok=%v), commit %v, full %v",
+					op, gi, trial, ok, committed, want)
+			}
+		}
+
+		for _, s := range []*sched.Schedule{res.Schedule, sched.FromPlacement(nGPUs, order, place)} {
+			fuseWalk(t, g, m, s)
+		}
+	})
+}
+
+// fuseWalk checks every fusion candidate of s against the full evaluator,
+// commits the best valid one, and repeats on the result until no fusion
+// is valid.
+func fuseWalk(t *testing.T, g *graph.Graph, m cost.Model, s *sched.Schedule) {
+	var fe sched.FuseEvaluator
+	var ev sched.Evaluator
+	curLat, err := fe.Rebase(g, m, s)
+	if err != nil {
+		t.Fatalf("FuseEvaluator.Rebase: %v", err)
+	}
+	cur := s
+	for {
+		bestGi, bestSi, bestP := -1, 0, 0
+		var bestLat units.Millis
+		for gi, q := range cur.GPUs {
+			for si := range q.Stages {
+				for p := 1; si+p < len(q.Stages); p++ {
+					cand, members := fuseCandidate(cur, gi, si, p)
+					want, wantErr := ev.Latency(g, m, cand)
+					got, gotErr := fe.TrialFuse(gi, si, p, members)
+					if (wantErr != nil) != (gotErr != nil) {
+						t.Fatalf("fuse gi=%d si=%d p=%d: trial error %v, full error %v", gi, si, p, gotErr, wantErr)
+					}
+					if wantErr != nil {
+						continue
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("fuse gi=%d si=%d p=%d: trial %v, full %v", gi, si, p, got, want)
+					}
+					if bestGi < 0 || got < bestLat {
+						bestGi, bestSi, bestP, bestLat = gi, si, p, got
+					}
+				}
+			}
+		}
+		if bestGi < 0 {
+			break
+		}
+		cand, members := fuseCandidate(cur, bestGi, bestSi, bestP)
+		got, err := fe.CommitFuse(bestGi, bestSi, bestP, members)
+		if err != nil || !sameBits(got, bestLat) {
+			t.Fatalf("CommitFuse gi=%d si=%d p=%d: %v (%v), trial said %v", bestGi, bestSi, bestP, got, err, bestLat)
+		}
+		cur, curLat = cand, got
+	}
+	if want, err := ev.Latency(g, m, cur); err != nil || !sameBits(curLat, want) {
+		t.Fatalf("after the commits: %v, full %v (%v)", curLat, want, err)
+	}
+}
+
+// fuseCandidate materializes the schedule TrialFuse(gi, si, p) evaluates:
+// stages si..si+p of GPU gi merged into one stage holding the sorted
+// union of their operators, which members aliases.
+func fuseCandidate(cur *sched.Schedule, gi, si, p int) (*sched.Schedule, []graph.OpID) {
+	stages := cur.GPUs[gi].Stages
+	var members []graph.OpID
+	for k := si; k <= si+p; k++ {
+		members = append(members, stages[k].Ops...)
+	}
+	slices.Sort(members)
+	cand := cur.Clone()
+	out := append([]sched.Stage(nil), stages[:si]...)
+	out = append(out, sched.Stage{Ops: members})
+	cand.GPUs[gi].Stages = append(out, stages[si+p+1:]...)
+	return cand, members
+}
+
+// sameBits reports whether two latencies are the same float64 bits.
+func sameBits(a, b units.Millis) bool {
+	return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
 }

@@ -71,14 +71,14 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	// Priority order over the original graph, computed once.
 	order := g.ByPriority()
 
-	// The M trial mappings per extracted path run through the incremental
-	// evaluator: each trial re-propagates only the inserted path's dirty
-	// frontier, bounded by the incumbent best, and the winning mapping is
-	// committed by splicing the path into the baseline (CommitInsert)
-	// rather than re-evaluating the whole placement. That requires every
-	// data edge to point forward in the priority order, which
-	// ByPriority guarantees: it returns a topological order.
-	var ie sched.IncrementalEvaluator
+	// The M trial mappings per extracted path run through the
+	// InsertEvaluator: each trial re-propagates only the inserted path's
+	// dirty frontier, bounded by the incumbent best, and the winning
+	// mapping is committed by splicing the path into the baseline
+	// (CommitInsert) rather than re-evaluating the whole placement. That
+	// requires every data edge to point forward in the priority order,
+	// which ByPriority guarantees: it returns a topological order.
+	var ie sched.InsertEvaluator
 	var pf graph.PathFinder
 
 	unscheduled := make([]bool, n)
@@ -89,7 +89,7 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	for i := range place {
 		place[i] = -1
 	}
-	if _, err := ie.RebasePlacement(g, m, opt.GPUs, order, place); err != nil {
+	if _, err := ie.Rebase(g, m, opt.GPUs, order, place); err != nil {
 		return sched.Result{}, fmt.Errorf("lp: empty placement: %w", err)
 	}
 

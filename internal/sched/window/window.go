@@ -60,9 +60,9 @@ func ParallelizeFixpoint(g *graph.Graph, m cost.Model, s *sched.Schedule, w, max
 //
 //lint:hotpath
 func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.Result, error) {
-	var ie sched.IncrementalEvaluator
+	var fe sched.FuseEvaluator
 	cur := s.CompactClone()
-	curLat, err := ie.Rebase(g, m, cur)
+	curLat, err := fe.Rebase(g, m, cur)
 	if err != nil {
 		return sched.Result{}, err
 	}
@@ -77,14 +77,14 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 
 	order := g.ByPriority()
 
-	// Candidate fusions run through the incremental evaluator against the
-	// rebased baseline of cur: no candidate schedule is materialized and
-	// only the fusion's dirty cone is re-propagated. Trial results are
+	// Candidate fusions run through the FuseEvaluator against the rebased
+	// baseline of cur: no candidate schedule is materialized and only the
+	// fusion's dirty cone is re-propagated. Trial results are
 	// bit-identical to a full evaluation of the materialized candidate, so
 	// committed schedules (and the testdata goldens) are unchanged.
-	// Committing re-runs the winning trial and splices it into the
-	// baseline (CommitFuse) instead of paying a full re-evaluation per
-	// improvement.
+	// Committing re-runs the winning fusion's propagation and contracts
+	// it into the baseline (CommitFuse) instead of paying a full
+	// re-evaluation per improvement.
 	members := make([]graph.OpID, 0, w)
 
 	for i := 0; i < len(order)-1; i++ {
@@ -133,7 +133,7 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 					members[b], members[b-1] = members[b-1], members[b]
 				}
 			}
-			lat, err := ie.TrialFuse(gi, si, p, members)
+			lat, err := fe.TrialFuse(gi, si, p, members)
 			if err != nil {
 				// The fusion created a dependency cycle in the
 				// scheduled computation graph (Algorithm 2,
@@ -157,7 +157,7 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 					stageOf[op] = k
 				}
 			}
-			lat, err := ie.CommitFuse(gi, si, bestP, bestStages[si].Ops)
+			lat, err := fe.CommitFuse(gi, si, bestP, bestStages[si].Ops)
 			if err != nil {
 				return sched.Result{}, err
 			}
