@@ -144,14 +144,14 @@ func AblationLinkContention(b Benchmark, size int) (Figure, error) {
 		XLabel: "serialized",
 		YLabel: "latency_ms",
 	}
-	for _, a := range []string{AlgoHIOSLP, AlgoHIOSMR, AlgoInterLP, AlgoInterMR} {
-		res, err := Run(a, net.G, m, RunConfig{GPUs: plat.GPUs})
-		if err != nil {
-			return Figure{}, err
-		}
+	res, _, err := runAll(multiGPU, net.G, m, RunConfig{GPUs: plat.GPUs})
+	if err != nil {
+		return Figure{}, err
+	}
+	for ai, a := range multiGPU {
 		s := Series{Label: a}
 		for i, serialize := range []bool{false, true} {
-			tr, err := sim.RunOpts(net.G, m, res.Schedule, sim.Options{SerializeLinks: serialize})
+			tr, err := sim.RunOpts(net.G, m, res[ai].Schedule, sim.Options{SerializeLinks: serialize})
 			if err != nil {
 				return Figure{}, err
 			}

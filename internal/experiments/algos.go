@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -10,6 +11,7 @@ import (
 	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/mr"
 	"github.com/shus-lab/hios/internal/sched/seq"
+	"github.com/shus-lab/hios/internal/sched/window"
 )
 
 // Algorithm labels, matching the paper's legends (§V-B).
@@ -26,6 +28,13 @@ const (
 var AllAlgorithms = []string{
 	AlgoSequential, AlgoIOS, AlgoHIOSLP, AlgoHIOSMR, AlgoInterLP, AlgoInterMR,
 }
+
+// singleGPU are the algorithms of AllAlgorithms that read neither the
+// GPU count nor the window, and multiGPU the ones that do.
+var (
+	singleGPU = []string{AlgoSequential, AlgoIOS}
+	multiGPU  = []string{AlgoHIOSLP, AlgoHIOSMR, AlgoInterLP, AlgoInterMR}
+)
 
 // RealSystemAlgorithms is the four-way comparison of Fig. 12.
 var RealSystemAlgorithms = []string{AlgoSequential, AlgoIOS, AlgoHIOSLP, AlgoHIOSMR}
@@ -59,4 +68,63 @@ func Run(algo string, g *graph.Graph, m cost.Model, cfg RunConfig) (sched.Result
 	default:
 		return sched.Result{}, fmt.Errorf("experiments: unknown algorithm %q", algo)
 	}
+}
+
+// interTwin maps each HIOS-* algorithm to the Inter-* algorithm whose
+// schedule its sliding-window pass refines.
+var interTwin = map[string]string{AlgoHIOSLP: AlgoInterLP, AlgoHIOSMR: AlgoInterMR}
+
+// runAll runs the named algorithms on one graph and returns their results
+// in list order: the results of Run for each name, bit for bit. When the
+// list holds both an Inter-* algorithm and its HIOS-* twin, the inter-GPU
+// pass runs once and the HIOS-* result is window.Parallelize over its
+// schedule — the same call lp.Schedule and mr.Schedule make after their
+// own inter pass (DESIGN.md §7). On error, failed names the first
+// algorithm in list order that failed, as the serial loop over Run would.
+func runAll(algos []string, g *graph.Graph, m cost.Model, cfg RunConfig) (res []sched.Result, failed string, err error) {
+	res = make([]sched.Result, len(algos))
+	done := make([]bool, len(algos))
+	for i, a := range algos {
+		if done[i] {
+			continue
+		}
+		j := -1
+		if inter, ok := interTwin[a]; ok {
+			j = slices.Index(algos, inter)
+		}
+		if j < 0 {
+			if res[i], err = Run(a, g, m, cfg); err != nil {
+				return nil, a, err
+			}
+			done[i] = true
+			continue
+		}
+		if err := validateHIOS(a, cfg); err != nil {
+			return nil, a, err
+		}
+		if !done[j] {
+			if res[j], err = Run(algos[j], g, m, cfg); err != nil {
+				return nil, a, err
+			}
+			done[j] = true
+		}
+		w := cfg.Window
+		if w == 0 {
+			w = window.DefaultSize
+		}
+		if res[i], err = window.Parallelize(g, m, res[j].Schedule, w); err != nil {
+			return nil, a, err
+		}
+		done[i] = true
+	}
+	return res, "", nil
+}
+
+// validateHIOS checks the options Run would pass to a HIOS-* scheduler,
+// so runAll rejects what Run rejects, with the same error.
+func validateHIOS(algo string, cfg RunConfig) error {
+	if algo == AlgoHIOSLP {
+		return lp.Options{GPUs: cfg.GPUs, Window: cfg.Window}.Validate()
+	}
+	return mr.Options{GPUs: cfg.GPUs, Window: cfg.Window}.Validate()
 }

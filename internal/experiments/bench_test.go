@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/costcache"
+	"github.com/shus-lab/hios/internal/dpcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched/ios"
@@ -156,7 +158,7 @@ func benchPlatform() gpu.Platform { return gpu.DualA40() }
 // not regress against the pre-pool serial loop — and FullWidth runs the
 // identical sweep on a GOMAXPROCS-wide pool, which on a multi-core runner
 // should scale toward the core count while producing byte-identical
-// figures (TestFig7ParallelMatchesSerial). Comparing the two on one
+// figures (TestSweepParallelMatchesSerial). Comparing the two on one
 // machine gives the sweep engine's parallel efficiency.
 
 func benchSweep(b *testing.B, workers int) {
@@ -172,3 +174,27 @@ func benchSweep(b *testing.B, workers int) {
 
 func BenchmarkSweepFig10Width1(b *testing.B)    { benchSweep(b, 1) }
 func BenchmarkSweepFig10FullWidth(b *testing.B) { benchSweep(b, 0) }
+
+// BenchmarkSweepFig7Cold is the sweep workload from cold caches: Fig. 7
+// at one seed on a GOMAXPROCS-wide pool, with the shared block and
+// kernel caches reset outside the timer before every iteration, so each
+// pays the one cold IOS solve per distinct graph. It reports the cost
+// per (x, seed) cell.
+func BenchmarkSweepFig7Cold(b *testing.B) {
+	opt := SimOptions{Seeds: 1, GPUs: 4}
+	cells := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dpcache.Shared().Reset()
+		costcache.Shared().Reset()
+		b.StartTimer()
+		fig, err := Fig7(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += len(fig.Series[0].Points) * opt.Seeds
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+}

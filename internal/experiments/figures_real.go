@@ -10,6 +10,7 @@ import (
 	"github.com/shus-lab/hios/internal/model"
 	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/profile"
+	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sim"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
@@ -190,7 +191,13 @@ func measure(algo string, net *model.Net, m cost.Model, gpus int) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	tr, err := sim.RunOpts(net.G, m, res.Schedule, sim.Options{SerializeLinks: true})
+	return measured(net, m, res.Schedule)
+}
+
+// measured is measure's second half: the simulated latency of schedule s
+// with the link bridge serialized.
+func measured(net *model.Net, m cost.Model, s *sched.Schedule) (float64, error) {
+	tr, err := sim.RunOpts(net.G, m, s, sim.Options{SerializeLinks: true})
 	if err != nil {
 		return 0, err
 	}
@@ -237,9 +244,13 @@ func fig13(workers int) (Figure, []string, error) {
 			return nil, err
 		}
 		m := cost.FromGraph(net.G, cost.DefaultContention())
+		res, a, err := runAll(AllAlgorithms, net.G, m, RunConfig{GPUs: plat.GPUs})
+		if err != nil {
+			return nil, fmt.Errorf("Fig13 %s %s: %w", a, labels[i], err)
+		}
 		lats := make([]float64, len(AllAlgorithms))
 		for ai, a := range AllAlgorithms {
-			lat, err := measure(a, net, m, plat.GPUs)
+			lat, err := measured(net, m, res[ai].Schedule)
 			if err != nil {
 				return nil, fmt.Errorf("Fig13 %s %s: %w", a, labels[i], err)
 			}

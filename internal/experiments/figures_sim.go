@@ -6,6 +6,7 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
+	"github.com/shus-lab/hios/internal/sched/ios"
 	"github.com/shus-lab/hios/internal/stats"
 )
 
@@ -18,8 +19,9 @@ type SimOptions struct {
 	GPUs int
 	// Window is the sliding-window size w (0 = default).
 	Window int
-	// Workers bounds the sweep worker pool: every (x, seed) cell of a
-	// sweep is an independent task scheduled on up to Workers goroutines.
+	// Workers bounds the sweep worker pool: every distinct graph and
+	// every (x, seed) cell of a sweep is an independent task scheduled on
+	// up to Workers goroutines.
 	// 0 selects GOMAXPROCS; 1 forces the serial reference path. Results
 	// are merged in index order, so the figure is byte-identical at any
 	// width (see internal/parallel and DESIGN.md §7).
@@ -47,16 +49,29 @@ func (o SimOptions) Validate() error {
 	return nil
 }
 
+// graphKey identifies everything the single-GPU algorithms depend on: the
+// generated graph (and with it the cost model) and the IOS options.
+type graphKey struct {
+	cfg randdag.Config
+	ios ios.Options
+}
+
 // sweep runs all six algorithms over a family of random-DAG configurations
 // and aggregates latencies per x value. cfgAt generates the model family
 // at x; runAt supplies the scheduler configuration at x (Fig. 7 varies the
 // GPU count along x, the other sweeps keep it fixed).
 //
-// Every (x, seed) cell is one task on the deterministic pool: it derives a
-// private graph and cost model from its seed and returns the six algorithm
-// latencies. The results are merged serially in (x, seed, algorithm) order
-// — the exact accumulation order of the single-threaded loop — so the
-// figure is byte-identical at any pool width.
+// The work is one task list on the deterministic pool. The first tasks
+// are one per distinct graphKey, in the order the (x, seed) cells first
+// use it: each runs Sequential and IOS, which read no GPU count, so
+// Fig. 7's six cells per seed share one IOS solve. The remaining tasks
+// are one per (x, seed) cell and run the four multi-GPU algorithms, the
+// inter-GPU passes once each (runAll). Per-graph tasks come first so the
+// costly cold IOS solve starts while other workers run cells. Every task
+// derives a private graph and cost model from its seed. The results are
+// merged serially in (x, seed, algorithm) order — the exact accumulation
+// order of the single-threaded loop — so the figure is byte-identical at
+// any pool width.
 func sweep(id, title, xlabel string, xs []float64,
 	cfgAt func(x float64, seed int64) randdag.Config,
 	runAt func(x float64) RunConfig,
@@ -74,32 +89,58 @@ func sweep(id, title, xlabel string, xs []float64,
 			samples[a][i] = &stats.Sample{}
 		}
 	}
-	cells, err := parallel.Map(len(xs)*opt.Seeds, opt.Workers, func(t int) ([]float64, error) {
-		i, seed := t/opt.Seeds, int64(t%opt.Seeds)+1
-		x := xs[i]
+
+	cellOf := func(c int) (x float64, seed int64) {
+		return xs[c/opt.Seeds], int64(c%opt.Seeds) + 1
+	}
+	nCells := len(xs) * opt.Seeds
+	keyOf := make([]int, nCells) // cell -> index of its graphKey
+	var firstCell []int          // graphKey index -> first cell using it
+	keyIdx := make(map[graphKey]int)
+	for c := range keyOf {
+		x, seed := cellOf(c)
+		k := graphKey{cfgAt(x, seed), runAt(x).IOS}
+		ki, ok := keyIdx[k]
+		if !ok {
+			ki = len(firstCell)
+			keyIdx[k] = ki
+			firstCell = append(firstCell, c)
+		}
+		keyOf[c] = ki
+	}
+	nKeys := len(firstCell)
+
+	out, err := parallel.Map(nKeys+nCells, opt.Workers, func(t int) ([]float64, error) {
+		algos, c := multiGPU, t-nKeys
+		if t < nKeys {
+			algos, c = singleGPU, firstCell[t]
+		}
+		x, seed := cellOf(c)
 		g, err := randdag.Generate(cfgAt(x, seed))
 		if err != nil {
 			return nil, fmt.Errorf("%s: x=%g seed=%d: %w", id, x, seed, err)
 		}
 		m := cost.FromGraph(g, cost.DefaultContention())
-		rc := runAt(x)
-		lats := make([]float64, len(AllAlgorithms))
-		for ai, a := range AllAlgorithms {
-			res, err := Run(a, g, m, rc)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %s x=%g seed=%d: %w", id, a, x, seed, err)
-			}
-			lats[ai] = float64(res.Latency)
+		res, a, err := runAll(algos, g, m, runAt(x))
+		if err != nil {
+			return nil, fmt.Errorf("%s: %s x=%g seed=%d: %w", id, a, x, seed, err)
+		}
+		lats := make([]float64, len(res))
+		for i, r := range res {
+			lats[i] = float64(r.Latency)
 		}
 		return lats, nil
 	})
 	if err != nil {
 		return Figure{}, err
 	}
-	for t, lats := range cells {
-		i := t / opt.Seeds
-		for ai, a := range AllAlgorithms {
-			samples[a][i].Add(lats[ai])
+	for c := range nCells {
+		i := c / opt.Seeds
+		for ai, a := range singleGPU {
+			samples[a][i].Add(out[keyOf[c]][ai])
+		}
+		for ai, a := range multiGPU {
+			samples[a][i].Add(out[nKeys+c][ai])
 		}
 	}
 	for _, a := range AllAlgorithms {

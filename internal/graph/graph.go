@@ -15,10 +15,11 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -150,17 +151,8 @@ func (g *Graph) Finalize() error {
 			return fmt.Errorf("graph: operator %d (%s) has NaN utilization", op.ID, op.Name)
 		}
 	}
-	g.succ = make([][]adj, n)
-	g.pred = make([][]adj, n)
-	for i, e := range g.edges {
-		g.succ[e.From] = append(g.succ[e.From], adj{op: e.To, edge: i})
-		g.pred[e.To] = append(g.pred[e.To], adj{op: e.From, edge: i})
-	}
-	// Deterministic neighbor order regardless of insertion order.
-	for v := 0; v < n; v++ {
-		sort.Slice(g.succ[v], func(i, j int) bool { return g.succ[v][i].op < g.succ[v][j].op })
-		sort.Slice(g.pred[v], func(i, j int) bool { return g.pred[v][i].op < g.pred[v][j].op })
-	}
+	g.succ = adjacency(n, g.edges, true)
+	g.pred = adjacency(n, g.edges, false)
 	g.finalized = true
 	order, err := g.computeTopoOrder()
 	if err != nil {
@@ -170,6 +162,44 @@ func (g *Graph) Finalize() error {
 	}
 	g.topo = order
 	return nil
+}
+
+// adjacency builds the per-operator edge lists of Finalize: out-edges
+// (keyed by From, neighbor To) when out is set, in-edges otherwise. Each
+// list is sorted by neighbor, so the order does not depend on insertion
+// order. The lists are carved out of one flat array, so building them
+// costs three allocations rather than a few per operator; an operator
+// without such edges keeps a nil list.
+func adjacency(n int, edges []Edge, out bool) [][]adj {
+	ends := func(e Edge) (key, other OpID) {
+		if out {
+			return e.From, e.To
+		}
+		return e.To, e.From
+	}
+	off := make([]int, n+1)
+	for _, e := range edges {
+		k, _ := ends(e)
+		off[k+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	flat := make([]adj, len(edges))
+	lists := make([][]adj, n)
+	for v := range lists {
+		if off[v] < off[v+1] {
+			lists[v] = flat[off[v]:off[v]:off[v+1]]
+		}
+	}
+	for i, e := range edges {
+		k, o := ends(e)
+		lists[k] = append(lists[k], adj{op: o, edge: i})
+	}
+	for _, l := range lists {
+		slices.SortFunc(l, func(a, b adj) int { return cmp.Compare(a.op, b.op) })
+	}
+	return lists
 }
 
 // finite reports whether x is neither NaN nor ±Inf.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -389,5 +390,51 @@ func TestPriorityLowerBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdjacencyMatchesAppendSort pins Finalize's flat-array adjacency
+// against the per-operator append-and-sort.Slice construction it
+// replaced: the same entries in the same order, including duplicate
+// edges (equal neighbors) and degrees past the insertion-sort cutoff of
+// 12, where the sort's order among equal neighbors is not stable.
+func TestAdjacencyMatchesAppendSort(t *testing.T) {
+	ref := func(n int, edges []Edge, out bool) [][]adj {
+		lists := make([][]adj, n)
+		for i, e := range edges {
+			k, o := e.From, e.To
+			if !out {
+				k, o = o, k
+			}
+			lists[k] = append(lists[k], adj{op: o, edge: i})
+		}
+		for v := range lists {
+			l := lists[v]
+			sort.Slice(l, func(i, j int) bool { return l[i].op < l[j].op })
+		}
+		return lists
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(40)
+		edges := make([]Edge, rng.Intn(4*n))
+		for i := range edges {
+			// Few distinct endpoints force duplicates and high degree.
+			u, v := OpID(rng.Intn(n)), OpID(rng.Intn(1+rng.Intn(n)))
+			edges[i] = Edge{From: u, To: v}
+		}
+		for _, out := range []bool{true, false} {
+			got, want := adjacency(n, edges, out), ref(n, edges, out)
+			for v := range want {
+				if len(got[v]) != len(want[v]) || (got[v] == nil) != (want[v] == nil) {
+					t.Fatalf("trial %d out=%v op %d: %v, want %v", trial, out, v, got[v], want[v])
+				}
+				for i := range want[v] {
+					if got[v][i] != want[v][i] {
+						t.Fatalf("trial %d out=%v op %d: %v, want %v", trial, out, v, got[v], want[v])
+					}
+				}
+			}
+		}
 	}
 }
