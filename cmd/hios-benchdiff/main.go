@@ -1,27 +1,23 @@
-// Command hios-benchdiff records and compares benchmark baselines.
+// Command hios-benchdiff checks `go test -bench` output against the
+// benchmark ledger, BENCH_ledger.json at the repository root.
 //
-// Record mode parses `go test -bench` output into a BENCH_*.json file
-// (the format of the tracked BENCH_seed.json baseline):
+// The ledger gives each tracked benchmark its ns/op and allocs/op at
+// named checkpoints and the bounds it must stay within. A bound caps the
+// ratio of a reading to one checkpoint's value — ratios, because CI
+// runners differ in absolute speed while allocation counts and relative
+// regressions are stable. The ledger's default_bound covers every entry
+// with a value at its checkpoint; an entry's own bounds lock specific wins.
 //
-//	go test -bench=. -benchtime=1x -benchmem ./... | tee bench.txt
-//	hios-benchdiff -record bench.txt -out BENCH_pr.json
+//	go test -bench=. -benchtime=100ms -benchmem ./... | tee bench.txt
+//	hios-benchdiff bench.txt bench_gate.txt
 //
-// Diff mode compares two such files by RATIO — ns/op and allocs/op of
-// the new file over the old — because CI runners differ wildly in
-// absolute speed while allocation counts and relative regressions are
-// stable:
-//
-//	hios-benchdiff -old BENCH_seed.json -new BENCH_pr.json
-//
-// The exit status is nonzero when any benchmark present in both files
-// regresses past the thresholds (-max-ns-ratio, -max-allocs-ratio), so
-// a CI job can gate on it; benchmarks present on only one side are
-// reported but never fail the diff. -filter restricts the comparison to
-// benchmark keys matching a regular expression, so CI can gate tightly
-// on the stable scheduler/serving benchmarks while the full diff stays
-// advisory. -geomean appends a geometric-mean summary row over the
-// compared ratios — the one-number answer to "did this PR speed the
-// suite up overall" that individual rows bury.
+// checks every reading of a ledger benchmark against every bound on its
+// entry, prints one table with a geometric-mean row per checkpoint, and
+// exits 1 on any violation. A bound no reading checks is a violation, so
+// a renamed benchmark cannot drop its lock silently, and any rise from a
+// zero baseline exceeds every bound. Benchmarks without an entry are
+// reported only. `hios-benchdiff -record seed bench.txt bench_gate.txt`
+// rewrites one checkpoint's history instead; the later input wins.
 package main
 
 import (
@@ -29,68 +25,135 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math"
 	"os"
 	"regexp"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// modulePrefix is stripped from `pkg:` lines so keys match the tracked
-// baseline's "internal/...Benchmark..." form.
+// modulePrefix is stripped from `pkg:` lines so keys read
+// "internal/...Benchmark..."; the root package keeps its full path.
 const modulePrefix = "github.com/shus-lab/hios/"
 
-// entry is one benchmark record. AllocsPerOp is a pointer so benchmarks
-// without -benchmem data round-trip as absent rather than zero.
-type entry struct {
+// measure is one benchmark's numbers. AllocsPerOp is a pointer so output
+// recorded without -benchmem stays absent rather than zero.
+type measure struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	Note        string   `json:"note,omitempty"`
 }
 
-// file is the BENCH_*.json layout.
-type file struct {
-	Comment     string           `json:"comment,omitempty"`
-	Environment map[string]any   `json:"environment,omitempty"`
-	Benchmarks  map[string]entry `json:"benchmarks"`
+// bound caps the ratios of a reading to the value at checkpoint Vs; a
+// zero cap leaves that metric unbounded.
+type bound struct {
+	Vs     string  `json:"vs"`
+	Ns     float64 `json:"ns,omitempty"`
+	Allocs float64 `json:"allocs,omitempty"`
+}
+
+type benchmark struct {
+	Note    string             `json:"note,omitempty"`
+	History map[string]measure `json:"history"`
+	Bounds  []bound            `json:"bounds,omitempty"`
+}
+
+type environment struct {
+	Go         string `json:"go"`
+	Cores      int    `json:"cores,omitempty"`
+	Gomaxprocs int    `json:"gomaxprocs"`
+	Recorded   string `json:"recorded,omitempty"`
+}
+
+type checkpoint struct {
+	Comment     string      `json:"comment"`
+	Environment environment `json:"environment"`
+}
+
+type ledger struct {
+	Comment      string                `json:"comment"`
+	DefaultBound bound                 `json:"default_bound"`
+	Checkpoints  map[string]checkpoint `json:"checkpoints"`
+	Benchmarks   map[string]benchmark  `json:"benchmarks"`
+}
+
+// input is one file of benchmark output: the last reading of each
+// benchmark in it, keyed like the ledger.
+type input struct {
+	name     string
+	readings map[string]reading
+}
+
+type reading struct {
+	measure
+	procs int // GOMAXPROCS, from the -N name suffix
 }
 
 func main() {
-	var (
-		record        = flag.String("record", "", "parse `go test -bench` output from this file (- for stdin) and write a baseline")
-		out           = flag.String("out", "", "output path for -record (default stdout)")
-		oldPath       = flag.String("old", "", "baseline BENCH_*.json (diff mode)")
-		newPath       = flag.String("new", "", "candidate BENCH_*.json (diff mode)")
-		maxNsRatio    = flag.Float64("max-ns-ratio", 1.5, "fail when new/old ns per op exceeds this")
-		maxAllocRatio = flag.Float64("max-allocs-ratio", 1.1, "fail when new/old allocs per op exceeds this")
-		filter        = flag.String("filter", "", "diff only benchmark keys matching this regular expression")
-		geomean       = flag.Bool("geomean", false, "append a geometric-mean summary row over the compared ratios")
-		asJSON        = flag.Bool("json", false, "emit the diff as JSON instead of a table")
-	)
+	ledgerPath := flag.String("ledger", "BENCH_ledger.json", "the benchmark ledger")
+	record := flag.String("record", "", "rewrite this checkpoint's history from the inputs instead of checking them")
 	flag.Parse()
-
-	switch {
-	case *record != "":
-		if err := runRecord(*record, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "hios-benchdiff:", err)
-			os.Exit(2)
-		}
-	case *oldPath != "" && *newPath != "":
-		regressed, err := runDiff(*oldPath, *newPath, *maxNsRatio, *maxAllocRatio, *filter, *geomean, *asJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hios-benchdiff:", err)
-			os.Exit(2)
-		}
-		if regressed {
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "usage: hios-benchdiff -record bench.txt [-out BENCH.json]")
-		fmt.Fprintln(os.Stderr, "       hios-benchdiff -old BENCH_seed.json -new BENCH_pr.json")
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "usage: hios-benchdiff [-ledger BENCH_ledger.json] [-record checkpoint] bench.txt [bench_gate.txt ...]")
 		os.Exit(2)
 	}
+	failed, err := run(*ledgerPath, *record, flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hios-benchdiff:", err)
+		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+func run(ledgerPath, record string, paths []string) (failed bool, err error) {
+	l, err := load(ledgerPath)
+	if err != nil {
+		return false, err
+	}
+	inputs := make([]input, len(paths))
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return false, err
+		}
+		if inputs[i], err = parse(p, string(data)); err != nil {
+			return false, err
+		}
+	}
+	if record != "" {
+		if err := l.record(record, inputs); err != nil {
+			return false, err
+		}
+		return false, save(ledgerPath, l)
+	}
+	w := bufio.NewWriter(os.Stdout)
+	failed = report(w, l, inputs, check(l, inputs))
+	return failed, w.Flush()
+}
+
+func load(path string) (*ledger, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var l ledger
+	if err := json.Unmarshal(data, &l); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &l, nil
+}
+
+func save(path string, l *ledger) error {
+	data, err := json.MarshalIndent(l, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // benchLine matches one result line of `go test -bench` output, e.g.
@@ -101,25 +164,11 @@ func main() {
 // still attached), the rest of the line holds the measurements.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-func runRecord(in, out string) error {
-	var src *os.File
-	if in == "-" {
-		src = os.Stdin
-	} else {
-		f, err := os.Open(in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		src = f
-	}
-
-	benches := make(map[string]entry)
+func parse(name, text string) (input, error) {
+	in := input{name: name, readings: make(map[string]reading)}
 	pkg := ""
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for line := range strings.Lines(text) {
+		line = strings.TrimSpace(line)
 		if after, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = strings.TrimPrefix(strings.TrimSpace(after), modulePrefix)
 			continue
@@ -128,57 +177,34 @@ func runRecord(in, out string) error {
 		if m == nil {
 			continue
 		}
-		name := m[1]
-		// Strip the -N GOMAXPROCS suffix so keys are stable across
-		// runner core counts.
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+		key, procs := m[1], 1
+		// go test appends -N to the name when GOMAXPROCS is N != 1.
+		if i := strings.LastIndexByte(key, '-'); i > 0 {
+			if n, err := strconv.Atoi(key[i+1:]); err == nil {
+				key, procs = key[:i], n
 			}
 		}
-		e, ok := parseMeasurements(m[2])
+		meas, ok := parseMeasurements(m[2])
 		if !ok {
 			continue
 		}
-		key := name
 		if pkg != "" {
-			key = pkg + "." + name
+			key = pkg + "." + key
 		}
-		benches[key] = e
+		in.readings[key] = reading{meas, procs}
 	}
-	if err := sc.Err(); err != nil {
-		return err
+	if len(in.readings) == 0 {
+		return in, fmt.Errorf("no benchmark results found in %s", name)
 	}
-	if len(benches) == 0 {
-		return fmt.Errorf("no benchmark results found in %s", in)
-	}
-
-	doc := file{
-		Comment: "Recorded by hios-benchdiff -record; compare against BENCH_seed.json by ratio.",
-		Environment: map[string]any{
-			"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-		},
-		Benchmarks: benches,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(out, data, 0o644)
+	return in, nil
 }
 
 // parseMeasurements extracts ns/op and allocs/op from the tail of a
 // benchmark line ("342293352 ns/op  196751680 B/op  4667 allocs/op").
-func parseMeasurements(tail string) (entry, bool) {
+func parseMeasurements(tail string) (measure, bool) {
 	fields := strings.Fields(tail)
-	var e entry
-	seenNs := false
+	var m measure
+	seen := false
 	for i := 1; i < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i-1], 64)
 		if err != nil {
@@ -186,202 +212,176 @@ func parseMeasurements(tail string) (entry, bool) {
 		}
 		switch fields[i] {
 		case "ns/op":
-			e.NsPerOp = v
-			seenNs = true
+			m.NsPerOp, seen = v, true
 		case "allocs/op":
-			a := v
-			e.AllocsPerOp = &a
+			m.AllocsPerOp = &v
 		}
 	}
-	return e, seenNs
+	return m, seen
 }
 
-func load(path string) (file, error) {
-	var doc file
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
+// record sets checkpoint cp's history from the inputs, later inputs
+// overwriting earlier ones, and its environment from the readings.
+func (l *ledger) record(cp string, inputs []input) error {
+	c, ok := l.Checkpoints[cp]
+	if !ok {
+		return fmt.Errorf("unknown checkpoint %q", cp)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return doc, fmt.Errorf("%s: %w", path, err)
+	procs := readingProcs(inputs)
+	if len(procs) != 1 {
+		return fmt.Errorf("readings ran at GOMAXPROCS %v; record one core count at a time", procs)
 	}
-	if doc.Benchmarks == nil {
-		return doc, fmt.Errorf("%s: no \"benchmarks\" object", path)
-	}
-	return doc, nil
-}
-
-// diffRow is one benchmark's comparison. Status is "compared" when both
-// files hold the benchmark, "missing from candidate" when only the
-// baseline does, "missing from baseline" when only the candidate does —
-// unmatched entries are always reported, never silently skipped, so a
-// renamed benchmark cannot quietly drop out of the gate.
-type diffRow struct {
-	Name        string   `json:"name"`
-	Status      string   `json:"status"`
-	OldNsPerOp  *float64 `json:"old_ns_per_op,omitempty"`
-	NewNsPerOp  *float64 `json:"new_ns_per_op,omitempty"`
-	NsRatio     *float64 `json:"ns_ratio,omitempty"`
-	AllocsRatio *float64 `json:"allocs_ratio,omitempty"`
-	Regressed   bool     `json:"regressed,omitempty"`
-}
-
-// diffReport is the -json document: every row plus the thresholds and
-// geometric means, so a CI consumer needs no side channel to interpret
-// the verdict.
-type diffReport struct {
-	Old               string    `json:"old"`
-	New               string    `json:"new"`
-	MaxNsRatio        float64   `json:"max_ns_ratio"`
-	MaxAllocsRatio    float64   `json:"max_allocs_ratio"`
-	Benchmarks        []diffRow `json:"benchmarks"`
-	GeomeanNsRatio    *float64  `json:"geomean_ns_ratio,omitempty"`
-	GeomeanAllocRatio *float64  `json:"geomean_allocs_ratio,omitempty"`
-	Regressed         bool      `json:"regressed"`
-}
-
-func runDiff(oldPath, newPath string, maxNs, maxAllocs float64, filter string, geomean, asJSON bool) (bool, error) {
-	oldDoc, err := load(oldPath)
-	if err != nil {
-		return false, err
-	}
-	newDoc, err := load(newPath)
-	if err != nil {
-		return false, err
-	}
-	var keep *regexp.Regexp
-	if filter != "" {
-		keep, err = regexp.Compile(filter)
-		if err != nil {
-			return false, fmt.Errorf("bad -filter: %w", err)
-		}
-	}
-
-	// Union of both files' keys (filtered), sorted for determinism.
-	nameSet := make(map[string]bool, len(oldDoc.Benchmarks)+len(newDoc.Benchmarks))
-	for name := range oldDoc.Benchmarks {
-		nameSet[name] = true
-	}
-	for name := range newDoc.Benchmarks {
-		nameSet[name] = true
-	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		if keep == nil || keep.MatchString(name) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	report := diffReport{
-		Old: oldPath, New: newPath,
-		MaxNsRatio: maxNs, MaxAllocsRatio: maxAllocs,
-	}
-	// Geometric-mean accumulators over benchmarks present on both sides:
-	// sums of log-ratios, so one outlier cannot drown the rest the way an
-	// arithmetic mean of ratios would.
-	var nsLogSum, allocLogSum float64
-	nsCount, allocCount := 0, 0
-	for _, name := range names {
-		o, inOld := oldDoc.Benchmarks[name]
-		n, inNew := newDoc.Benchmarks[name]
-		row := diffRow{Name: name, Status: "compared"}
-		switch {
-		case !inNew:
-			row.Status = "missing from candidate"
-			row.OldNsPerOp = &o.NsPerOp
-		case !inOld:
-			row.Status = "missing from baseline"
-			row.NewNsPerOp = &n.NsPerOp
-		default:
-			row.OldNsPerOp, row.NewNsPerOp = &o.NsPerOp, &n.NsPerOp
-			nsRatio := ratio(n.NsPerOp, o.NsPerOp)
-			row.NsRatio = &nsRatio
-			if nsRatio > 0 {
-				nsLogSum += math.Log(nsRatio)
-				nsCount++
+	c.Environment = environment{Go: runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH, Gomaxprocs: procs[0]}
+	l.Checkpoints[cp] = c
+	for _, in := range inputs {
+		for _, name := range slices.Sorted(maps.Keys(in.readings)) {
+			e := l.Benchmarks[name]
+			if e.History == nil {
+				e.History = make(map[string]measure)
+				l.Benchmarks[name] = e
 			}
-			if nsRatio > maxNs {
-				row.Regressed = true
-			}
-			if o.AllocsPerOp != nil && n.AllocsPerOp != nil {
-				ar := ratio(*n.AllocsPerOp, *o.AllocsPerOp)
-				row.AllocsRatio = &ar
-				if ar > 0 {
-					allocLogSum += math.Log(ar)
-					allocCount++
+			e.History[cp] = in.readings[name].measure
+		}
+	}
+	return nil
+}
+
+// readingProcs returns the distinct GOMAXPROCS values of all readings.
+func readingProcs(inputs []input) []int {
+	var procs []int
+	for _, in := range inputs {
+		for _, r := range in.readings {
+			procs = append(procs, r.procs)
+		}
+	}
+	slices.Sort(procs)
+	return slices.Compact(procs)
+}
+
+// row is one reading checked against one bound or, with input
+// "(no reading)", a bounded metric that no reading checked. The allocs
+// ratio is NaN where either side lacks allocs/op. A bound against a
+// checkpoint the entry has no value at fails: ns rises from zero and
+// allocs goes unchecked.
+type row struct {
+	bench, input       string
+	b                  bound
+	ns, allocs         float64
+	nsFail, allocsFail bool
+}
+
+func check(l *ledger, inputs []input) []row {
+	var rows []row
+	for _, name := range slices.Sorted(maps.Keys(l.Benchmarks)) {
+		e := l.Benchmarks[name]
+		bounds := e.Bounds
+		if _, ok := e.History[l.DefaultBound.Vs]; ok {
+			bounds = append([]bound{l.DefaultBound}, bounds...)
+		}
+		for _, b := range bounds {
+			base := e.History[b.Vs]
+			nsSeen, allocsSeen := false, false
+			for _, in := range inputs {
+				r, ok := in.readings[name]
+				if !ok {
+					continue
 				}
-				if ar > maxAllocs {
-					row.Regressed = true
+				rw := row{bench: name, input: in.name, b: b, ns: ratio(r.NsPerOp, base.NsPerOp), allocs: math.NaN()}
+				if r.AllocsPerOp != nil && base.AllocsPerOp != nil {
+					rw.allocs = ratio(*r.AllocsPerOp, *base.AllocsPerOp)
+					allocsSeen = true
 				}
+				nsSeen = true
+				rw.nsFail = b.Ns > 0 && rw.ns > b.Ns
+				rw.allocsFail = b.Allocs > 0 && rw.allocs > b.Allocs
+				rows = append(rows, rw)
+			}
+			if missNs, missAllocs := b.Ns > 0 && !nsSeen, b.Allocs > 0 && !allocsSeen; missNs || missAllocs {
+				rows = append(rows, row{bench: name, input: "(no reading)", b: b, ns: math.NaN(), allocs: math.NaN(), nsFail: missNs, allocsFail: missAllocs})
 			}
 		}
-		report.Regressed = report.Regressed || row.Regressed
-		report.Benchmarks = append(report.Benchmarks, row)
 	}
-	if nsCount > 0 {
-		gm := math.Exp(nsLogSum / float64(nsCount))
-		report.GeomeanNsRatio = &gm
-	}
-	if allocCount > 0 {
-		gm := math.Exp(allocLogSum / float64(allocCount))
-		report.GeomeanAllocRatio = &gm
-	}
-
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	if asJSON {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return false, err
-		}
-		data = append(data, '\n')
-		_, err = w.Write(data)
-		return report.Regressed, err
-	}
-	fmt.Fprintf(w, "%-55s %12s %14s\n", "benchmark", "ns ratio", "allocs ratio")
-	for _, row := range report.Benchmarks {
-		if row.NsRatio == nil {
-			fmt.Fprintf(w, "%-55s    -- %s --\n", row.Name, row.Status)
-			continue
-		}
-		allocStr := "n/a"
-		if row.AllocsRatio != nil {
-			allocStr = fmt.Sprintf("%.3f", *row.AllocsRatio)
-		}
-		mark := ""
-		if *row.NsRatio > maxNs {
-			mark = "  ** ns regression"
-		}
-		if row.AllocsRatio != nil && *row.AllocsRatio > maxAllocs {
-			mark += "  ** allocs regression"
-		}
-		fmt.Fprintf(w, "%-55s %12.3f %14s%s\n", row.Name, *row.NsRatio, allocStr, mark)
-	}
-	if geomean && report.GeomeanNsRatio != nil {
-		allocStr := "n/a"
-		if report.GeomeanAllocRatio != nil {
-			allocStr = fmt.Sprintf("%.3f", *report.GeomeanAllocRatio)
-		}
-		fmt.Fprintf(w, "%-55s %12.3f %14s\n",
-			fmt.Sprintf("geomean (%d benchmarks)", nsCount),
-			*report.GeomeanNsRatio, allocStr)
-	}
-	if report.Regressed {
-		fmt.Fprintf(w, "\nFAIL: regression past thresholds (ns > %.2fx, allocs > %.2fx)\n", maxNs, maxAllocs)
-	}
-	return report.Regressed, nil
+	return rows
 }
 
-// ratio returns n/o, treating a zero or absent baseline as neutral: a
-// benchmark whose baseline is 0 allocs/op stays 0-vs-0 in practice, and
-// anything divided by zero would otherwise mask every other column.
+// ratio returns n/o. Against a zero baseline any rise is +Inf, so a
+// 0 -> 1 allocs/op regression exceeds every bound; 0 vs 0 never moved.
 func ratio(n, o float64) float64 {
-	if o == 0 { //lint:floatexact zero-baseline sentinel: absent baselines store exactly 0
-		if n == 0 { //lint:floatexact exact 0-vs-0 means the column never moved
-			return 1
-		}
-		return n // vs a zero baseline, report the raw value
+	if n == 0 && o == 0 { //lint:floatexact exact zeros: allocs/op counts are integers
+		return 1
 	}
 	return n / o
+}
+
+// report prints the core counts, then one section per checkpoint with a
+// geometric-mean row, then the benchmarks the ledger does not track. It
+// returns whether any bound was violated.
+func report(w io.Writer, l *ledger, inputs []input, rows []row) (failed bool) {
+	procs := readingProcs(inputs)
+	fmt.Fprintf(w, "readings at gomaxprocs %v; checkpoints at", procs)
+	differ := len(procs) != 1
+	cps := slices.Sorted(maps.Keys(l.Checkpoints))
+	for _, cp := range cps {
+		p := l.Checkpoints[cp].Environment.Gomaxprocs
+		fmt.Fprintf(w, " %s %d", cp, p)
+		differ = differ || p != procs[0]
+	}
+	fmt.Fprintln(w)
+	if differ {
+		fmt.Fprintln(w, "cores differ: ratios compare readings and checkpoints taken at different GOMAXPROCS (reported, not refused)")
+	}
+	violations := 0
+	for _, cp := range cps {
+		fmt.Fprintf(w, "\n%4s %-56s %-16s %-14s %s\n", "", "vs "+cp, "input", "ns ratio", "allocs ratio")
+		var nsLog, allocsLog float64
+		nsN, allocsN := 0, 0
+		for _, r := range rows {
+			if r.b.Vs != cp {
+				continue
+			}
+			verdict := ""
+			if r.nsFail || r.allocsFail {
+				violations++
+				verdict = "FAIL"
+			}
+			fmt.Fprintf(w, "%4s %-56s %-16s %-14s %s\n", verdict, r.bench, r.input, cell(r.ns, r.b.Ns, r.nsFail), cell(r.allocs, r.b.Allocs, r.allocsFail))
+			if r.ns > 0 && !math.IsInf(r.ns, 1) {
+				nsLog += math.Log(r.ns)
+				nsN++
+			}
+			if r.allocs > 0 && !math.IsInf(r.allocs, 1) {
+				allocsLog += math.Log(r.allocs)
+				allocsN++
+			}
+		}
+		fmt.Fprintf(w, "%4s %-56s %-16s %-14s %s\n", "", fmt.Sprintf("geomean (%d readings)", nsN), "",
+			cell(math.Exp(nsLog/float64(nsN)), 0, false), cell(math.Exp(allocsLog/float64(allocsN)), 0, false))
+	}
+	fmt.Fprintln(w, "\nnot in the ledger (report only)")
+	for _, in := range inputs {
+		for _, name := range slices.Sorted(maps.Keys(in.readings)) {
+			if _, ok := l.Benchmarks[name]; !ok {
+				fmt.Fprintf(w, "%4s %-56s %-16s %.0f ns/op\n", "", name, in.name, in.readings[name].NsPerOp)
+			}
+		}
+	}
+	if violations > 0 {
+		fmt.Fprintf(w, "\nFAIL: %d rows break a bound\n", violations)
+	}
+	return violations > 0
+}
+
+// cell renders a ratio against its cap ("1.790 > 1.25" when it fails).
+func cell(r, max float64, fail bool) string {
+	switch {
+	case math.IsNaN(r) && fail:
+		return "unchecked"
+	case math.IsNaN(r):
+		return "--"
+	case max == 0: //lint:floatexact a zero cap is the unset field
+		return fmt.Sprintf("%.3f", r)
+	case fail:
+		return fmt.Sprintf("%.3f > %.2f", r, max)
+	}
+	return fmt.Sprintf("%.3f <= %.2f", r, max)
 }

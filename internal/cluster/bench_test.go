@@ -6,7 +6,7 @@ import "testing"
 // dispatch hot path: a six-node heterogeneous fleet, two open-loop
 // tenants at 2x aggregate capacity, least-load routing, full admission
 // control and the autoscaler on — every event kind the engine has is
-// exercised. Tracked in BENCH_seed.json under the hios-benchdiff gate.
+// exercised. Bounded in BENCH_ledger.json, checked by hios-benchdiff.
 func BenchmarkClusterServe(b *testing.B) {
 	opt := Options{
 		Fleet: FleetSpec{Nodes: []NodeSpec{

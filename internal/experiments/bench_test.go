@@ -73,7 +73,7 @@ func BenchmarkSchedulerHIOSLP12GPUs(b *testing.B) {
 // The LP / MR / window trio isolates the three burn-down targets of the
 // hot-path allocation discipline (hotalloc): the LP longest-path mapping
 // loop, the MR table fill, and the sliding-window refiner, each without
-// the other passes, so BENCH_*.json shows their allocs/op individually.
+// the other passes, so BENCH_ledger.json holds their allocs/op individually.
 
 func BenchmarkSchedulerLP(b *testing.B) {
 	g := randdag.MustGenerate(benchGraphAndModel())

@@ -174,7 +174,7 @@ func TestServe2EventFloor(t *testing.T) {
 
 // The fleet-sweep benchmark pair mirrors BenchmarkServeSweep*: the
 // Width1/FullWidth ratio gauges the parallel engine's efficiency on the
-// cluster workload (BENCH_seed.json tracks the baseline).
+// cluster workload (BENCH_ledger.json tracks the baseline).
 func benchFleetSweep(b *testing.B, workers int) {
 	b.Helper()
 	opt := fastFleet()

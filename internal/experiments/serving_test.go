@@ -138,7 +138,7 @@ func TestAttainmentVsLoadLabels(t *testing.T) {
 
 // The serve-sweep benchmark pair mirrors BenchmarkSweepFig10*: the
 // Width1/FullWidth ratio gauges the parallel engine's efficiency on the
-// serving workload (BENCH_seed.json tracks the baseline).
+// serving workload (BENCH_ledger.json tracks the baseline).
 func benchServeSweep(b *testing.B, workers int) {
 	b.Helper()
 	opt := ServeSweepOptions{Ops: 60, Seeds: 2, Workers: workers, Loads: []float64{0.5, 1.0}}
