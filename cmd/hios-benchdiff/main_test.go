@@ -162,6 +162,28 @@ func TestParseStripsProcsSuffix(t *testing.T) {
 	}
 }
 
+// TestParseIgnoresCustomMetrics pins that b.ReportMetric columns (the
+// engine benchmarks' events/op and ns/event) leave a line's ledger
+// reading unchanged: ns/event must not be taken for ns/op.
+func TestParseIgnoresCustomMetrics(t *testing.T) {
+	const plain = "BenchmarkClusterServe-2   \t      10\t   2853814 ns/op\t  905510 B/op\t     155 allocs/op\n"
+	const extra = "BenchmarkClusterServe-2   \t      10\t   2853814 ns/op\t     15937 events/op\t       179.1 ns/event\t  905510 B/op\t     155 allocs/op\n"
+	read := func(line string) reading {
+		in, err := parse("b.txt", "pkg: github.com/shus-lab/hios/internal/cluster\n"+line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.readings["internal/cluster.BenchmarkClusterServe"]
+	}
+	p, x := read(plain), read(extra)
+	if x.NsPerOp != 2853814 || x.procs != 2 || x.AllocsPerOp == nil || *x.AllocsPerOp != 155 {
+		t.Fatalf("line with custom metrics parsed as %+v", x)
+	}
+	if p.NsPerOp != x.NsPerOp || p.procs != x.procs || *p.AllocsPerOp != *x.AllocsPerOp {
+		t.Errorf("custom metrics changed the reading: %+v without, %+v with", p, x)
+	}
+}
+
 func writeFile(t *testing.T, name, data string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)

@@ -2,13 +2,12 @@ package cluster
 
 import "testing"
 
-// BenchmarkClusterServe is the gated allocation benchmark of the cluster
-// dispatch hot path: a six-node heterogeneous fleet, two open-loop
-// tenants at 2x aggregate capacity, least-load routing, full admission
-// control and the autoscaler on — every event kind the engine has is
-// exercised. Bounded in BENCH_ledger.json, checked by hios-benchdiff.
-func BenchmarkClusterServe(b *testing.B) {
-	opt := Options{
+// clusterServeOptions is BenchmarkClusterServe's configuration: a
+// six-node heterogeneous fleet, two open-loop tenants at 2x aggregate
+// capacity, least-load routing, full admission control and the
+// autoscaler on — every event kind the engine has is exercised.
+func clusterServeOptions() Options {
+	return Options{
 		Fleet: FleetSpec{Nodes: []NodeSpec{
 			{Platform: "a40", Count: 2, Replicas: 2},
 			{Platform: "a5500", Count: 2, Replicas: 2},
@@ -25,10 +24,32 @@ func BenchmarkClusterServe(b *testing.B) {
 		Horizon:    1000,
 		Seed:       7,
 	}
+}
+
+// BenchmarkClusterServe is the gated allocation benchmark of the cluster
+// dispatch hot path on clusterServeOptions. Besides ns/op it reports
+// events/op and ns/event, the engine's per-unit cost. Bounded in
+// BENCH_ledger.json, checked by hios-benchdiff.
+func BenchmarkClusterServe(b *testing.B) {
+	opt := clusterServeOptions()
 	b.ReportAllocs()
+	var events int64
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(opt); err != nil {
+		r, err := Run(opt)
+		if err != nil {
 			b.Fatal(err)
 		}
+		events = r.Events
 	}
+	reportEventCost(b, events)
+}
+
+// reportEventCost reports events/op, the engine events one iteration
+// processes, and ns/event, the wall time per processed event.
+func reportEventCost(b *testing.B, events int64) {
+	if events <= 0 {
+		return
+	}
+	b.ReportMetric(float64(events), "events/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 }

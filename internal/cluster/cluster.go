@@ -24,7 +24,8 @@
 // The engine obeys the repository's determinism contract (DESIGN.md
 // §7, §9, §14): no wall clock, no global RNG; arrivals draw from
 // rand.Rand streams seeded via stats.MixSeed, events are totally ordered
-// by (time, sequence) on one event heap, and every report slice is
+// by (time, sequence) — one event heap, with the pre-drawn open-loop
+// arrivals merged into its order — and every report slice is
 // emitted in deterministic order — the same options always render a
 // byte-identical report.
 package cluster

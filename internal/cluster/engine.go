@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/shus-lab/hios/internal/stats"
@@ -141,21 +142,42 @@ type node struct {
 	pools  []pool
 }
 
+// stream is one open-loop tenant's pending pre-drawn arrivals: the
+// contiguous, time-sorted request run reqs[next:end].
+type stream struct{ next, end int }
+
+// slabSigmas is the headroom, in Poisson standard deviations, of the
+// request slab's up-front capacity over the open-loop tenants' expected
+// arrival counts.
+const slabSigmas = 4
+
 // engine is the running simulation state, shared by Run and Serve.
+//
+// Open-loop arrivals never enter the event heap. newEngine pre-draws
+// them, so each open-loop tenant's requests form one contiguous
+// time-sorted run of reqs, and while newEngine draws, the heap sequence
+// number of every arrival equals its request index (Reserve keeps the
+// counter in step for the arrivals the heap never holds). next merges
+// the run heads against the heap top by (arrive, index) = (time,
+// sequence), which replays the exact order of one heap holding every
+// event, while the heap itself only holds in-flight work, closed-loop
+// arrivals and the autoscaler tick.
 type engine struct {
-	o      Options
-	nodes  []node
-	reqs   []request
-	issued []int // per-tenant issue counter
-	events eventHeap[event]
-	qseq   int // enqueue sequence counter
-	depth  int // queued requests across all pools (gateway shedding signal)
-	popped int64
-	points []QueuePoint
-	scales []ScaleEvent
-	rngs   []*rand.Rand // per-tenant arrival streams
-	rng    *rand.Rand   // router stream (random policy only)
-	aff    []int        // per-tenant affinity node (affinity policy only)
+	o       Options
+	nodes   []node
+	reqs    []request
+	issued  []int // per-tenant issue counter
+	events  eventHeap[event]
+	streams []stream // per open-loop tenant with arrivals
+	head    int      // streams index of the earliest pending arrival, -1 when all are drained
+	qseq    int      // enqueue sequence counter
+	depth   int      // queued requests across all pools (gateway shedding signal)
+	popped  int64
+	points  []QueuePoint
+	scales  []ScaleEvent
+	rngs    []*rand.Rand // per-tenant arrival streams
+	rng     *rand.Rand   // router stream (random policy only)
+	aff     []int        // per-tenant affinity node (affinity policy only)
 
 	// Token bucket (enabled when o.Admission.RatePerSec > 0).
 	tokens     float64
@@ -173,6 +195,7 @@ func newEngine(o Options, nodes []node) *engine {
 	e := &engine{
 		o:      o,
 		nodes:  nodes,
+		reqs:   make([]request, 0, slabHint(o)),
 		issued: make([]int, nt),
 		rngs:   make([]*rand.Rand, nt),
 		tokens: float64(o.Admission.Burst),
@@ -180,12 +203,17 @@ func newEngine(o Options, nodes []node) *engine {
 	for ti, t := range o.Tenants {
 		e.rngs[ti] = rand.New(rand.NewSource(stats.MixSeed(o.Seed, ti)))
 		if t.Rate > 0 {
-			// Open-loop: pre-draw the whole Poisson arrival sequence.
+			// Open-loop: pre-draw the whole Poisson arrival sequence as
+			// one stream.
 			mean := units.Millis(1e3 / t.Rate)
+			lo := len(e.reqs)
 			at := expMillis(e.rngs[ti], mean)
 			for at < o.Horizon {
 				e.newRequest(ti, -1, at)
 				at += expMillis(e.rngs[ti], mean)
+			}
+			if hi := len(e.reqs); hi > lo {
+				e.streams = append(e.streams, stream{next: lo, end: hi})
 			}
 		} else {
 			// Closed-loop: every client starts in think state.
@@ -210,11 +238,31 @@ func newEngine(o Options, nodes []node) *engine {
 	if o.Autoscaler.Enabled {
 		e.events.Push(o.Autoscaler.Interval, event{kind: evTick})
 	}
+	e.pickHead()
 	return e
 }
 
-// newRequest creates a request arriving at the given time and schedules
-// its arrival event.
+// slabHint returns the request slab's up-front capacity: every
+// open-loop tenant's expected arrival count over the horizon plus
+// slabSigmas standard deviations, and one request per closed-loop
+// client. Closed-loop reissues and rare Poisson excess grow the slab.
+func slabHint(o Options) int {
+	n := 0.0
+	for _, t := range o.Tenants {
+		if t.Rate > 0 && o.Horizon > 0 {
+			mean := t.Rate * float64(o.Horizon) / 1e3
+			n += mean + slabSigmas*math.Sqrt(mean)
+		} else {
+			n += float64(t.Clients)
+		}
+	}
+	return int(min(n, 1<<20))
+}
+
+// newRequest creates a request arriving at the given time. A closed-loop
+// arrival is pushed on the event heap; an open-loop one (client < 0,
+// only ever pre-drawn by newEngine) stays in its tenant's stream and
+// only reserves its sequence number, which equals its request index.
 func (e *engine) newRequest(tenant, client int, at units.Millis) {
 	t := &e.o.Tenants[tenant]
 	ri := len(e.reqs)
@@ -227,7 +275,43 @@ func (e *engine) newRequest(tenant, client int, at units.Millis) {
 		state:    stQueued,
 	})
 	e.issued[tenant]++
+	if client < 0 {
+		e.events.Reserve()
+		return
+	}
 	e.events.Push(at, event{kind: evArrive, ref: ri})
+}
+
+// pickHead points head at the stream whose pending arrival is earliest
+// in (arrive, index) order, or -1 when every stream is drained.
+func (e *engine) pickHead() {
+	e.head = -1
+	best := 0 // request index of the head's pending arrival
+	for i, s := range e.streams {
+		if s.next < s.end && (e.head < 0 || earlier(e.reqs[s.next].arrive, s.next, e.reqs[best].arrive, best)) {
+			e.head, best = i, s.next
+		}
+	}
+}
+
+// next removes and returns the earliest pending event: the earliest
+// open-loop arrival when its (arrive, index) key precedes the heap top,
+// the heap top otherwise. ok is false once both are drained.
+func (e *engine) next() (now units.Millis, ev event, ok bool) {
+	if e.head >= 0 {
+		s := &e.streams[e.head]
+		ri := s.next
+		if at := e.reqs[ri].arrive; e.events.Before(at, ri) {
+			s.next++
+			e.pickHead()
+			return at, event{kind: evArrive, ref: ri}, true
+		}
+	}
+	if e.events.Len() == 0 {
+		return 0, event{}, false
+	}
+	now, ev = e.events.Pop()
+	return now, ev, true
 }
 
 // expMillis draws an exponential duration with the given mean.
@@ -297,9 +381,7 @@ func (e *engine) dispatch(ni, di int, now units.Millis) {
 		if e.o.Admission.ShedHopeless && now+p.prof.Latency > r.deadline {
 			// Provably hopeless: even starting this instant misses the
 			// deadline. Shed without consuming the replica.
-			r.state = stShedHopeless
-			r.finish = now
-			e.reissue(r.tenant, r.client, now)
+			e.shed(ri, stShedHopeless, now)
 			continue
 		}
 		rep := p.idle.Pop()
@@ -332,8 +414,11 @@ func (e *engine) recordDepth(now units.Millis) {
 // event fired.
 func (e *engine) run() (units.Millis, error) {
 	var makespan units.Millis
-	for e.events.Len() > 0 {
-		now, ev := e.events.Pop()
+	for {
+		now, ev, ok := e.next()
+		if !ok {
+			break
+		}
 		e.popped++
 		if now > makespan {
 			makespan = now
@@ -394,9 +479,18 @@ func Run(opt Options) (*Report, error) {
 		return nil, err
 	}
 	opt.fill()
+	e := newEngine(opt, fleetNodes(&opt))
+	makespan, err := e.run()
+	if err != nil {
+		return nil, err
+	}
+	return e.report(makespan), nil
+}
 
-	// Flatten the fleet: node groups expand to individual nodes in
-	// declaration order, each holding one pool per deployment.
+// fleetNodes flattens the filled options' fleet: node groups expand to
+// individual nodes in declaration order, each holding one pool per
+// deployment.
+func fleetNodes(opt *Options) []node {
 	var nodes []node
 	var scaler *AutoscalerOptions
 	if a := &opt.Autoscaler; a.Enabled {
@@ -417,10 +511,5 @@ func Run(opt Options) (*Report, error) {
 			nodes = append(nodes, nd)
 		}
 	}
-	e := newEngine(opt, nodes)
-	makespan, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	return e.report(makespan), nil
+	return nodes
 }

@@ -21,10 +21,13 @@ type timed[E any] struct {
 // min-heap ordered by (time, push sequence). The sequence number is
 // assigned internally at push, so simultaneous events pop in push order
 // and the pop sequence is a pure function of the push sequence — no
-// caller can accidentally break the total order.
+// caller can accidentally break the total order. Reserve hands out a
+// sequence number for an event the caller delivers itself, merged into
+// the pop order with Before.
 type eventHeap[E any] struct {
 	items []timed[E]
 	seq   int
+	high  int // high-water mark of Len
 }
 
 // Len returns the number of queued events.
@@ -35,7 +38,21 @@ func (h *eventHeap[E]) Len() int { return len(h.items) }
 func (h *eventHeap[E]) Push(at units.Millis, payload E) {
 	h.items = append(h.items, timed[E]{at: at, seq: h.seq, payload: payload})
 	h.seq++
+	if n := len(h.items); n > h.high {
+		h.high = n
+	}
 	h.up(len(h.items) - 1)
+}
+
+// Reserve consumes the next push sequence number without queuing an
+// event: the caller holds that event outside the heap under the number
+// and delivers it first while Before reports its key earliest.
+func (h *eventHeap[E]) Reserve() { h.seq++ }
+
+// Before reports whether the key (at, seq) precedes every queued event;
+// it is true on an empty heap.
+func (h *eventHeap[E]) Before(at units.Millis, seq int) bool {
+	return len(h.items) == 0 || earlier(at, seq, h.items[0].at, h.items[0].seq)
 }
 
 // Pop removes and returns the earliest event: its time and payload.
@@ -52,12 +69,18 @@ func (h *eventHeap[E]) Pop() (units.Millis, E) {
 }
 
 func (h *eventHeap[E]) less(i, j int) bool {
+	return earlier(h.items[i].at, h.items[i].seq, h.items[j].at, h.items[j].seq)
+}
+
+// earlier reports whether the event key (at, seq) precedes (bt, bseq)
+// in the engine's total order.
+func earlier(at units.Millis, seq int, bt units.Millis, bseq int) bool {
 	// Exact IEEE inequality keeps the order strict-weak; ties fall
 	// through to the deterministic sequence number (cf. sim.eventHeap).
-	if h.items[i].at != h.items[j].at { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
-		return h.items[i].at < h.items[j].at
+	if at != bt { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
+		return at < bt
 	}
-	return h.items[i].seq < h.items[j].seq
+	return seq < bseq
 }
 
 func (h *eventHeap[E]) up(i int) {

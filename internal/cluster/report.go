@@ -118,14 +118,15 @@ type tally struct {
 	tenants                                 []TenantReport
 }
 
-// tally accounts every request of the drained engine.
+// tally accounts every request of the drained engine. The per-tenant
+// response times are carved from one exactly sized slab, sorted in
+// place, and merged into the all-tenant sorted list, so the percentiles
+// read the same multiset a sort of every response would.
 func (e *engine) tally(makespan units.Millis) tally {
 	t := tally{tenants: make([]TenantReport, len(e.o.Tenants))}
 	for ti, tn := range e.o.Tenants {
 		t.tenants[ti] = TenantReport{Name: tn.Name, Model: tn.Model}
 	}
-	var all []float64
-	per := make([][]float64, len(e.o.Tenants))
 	for i := range e.reqs {
 		req := &e.reqs[i]
 		tr := &t.tenants[req.tenant]
@@ -147,32 +148,63 @@ func (e *engine) tally(makespan units.Millis) tally {
 				t.met++
 				tr.SLOMet++
 			}
-			resp := float64(req.finish - req.arrive)
-			all = append(all, resp)
-			per[req.tenant] = append(per[req.tenant], resp)
 		}
 	}
+
+	slab := make([]float64, 2*t.completed)
+	resp, all := slab[:t.completed], slab[t.completed:]
+	per := make([][]float64, len(t.tenants))
+	off := 0
+	for ti := range t.tenants {
+		n := t.tenants[ti].Completed
+		per[ti] = resp[off : off : off+n]
+		off += n
+	}
+	for i := range e.reqs {
+		if req := &e.reqs[i]; req.state == stDone {
+			per[req.tenant] = append(per[req.tenant], float64(req.finish-req.arrive))
+		}
+	}
+	for ti := range per {
+		sort.Float64s(per[ti])
+	}
+	mergeSorted(all, per)
 
 	t.attainment = attainment(t.met, t.offered)
 	if makespan > 0 {
 		t.goodput = float64(t.met) * 1e3 / float64(makespan)
 	}
-	sort.Float64s(all)
 	t.p50 = units.Millis(stats.Percentile(all, 50))
 	t.p95 = units.Millis(stats.Percentile(all, 95))
 	t.p99 = units.Millis(stats.Percentile(all, 99))
 	if len(all) > 0 {
-		t.max = units.Millis(stats.Max(all))
+		t.max = units.Millis(all[len(all)-1])
 	}
 	for ti := range t.tenants {
 		tr := &t.tenants[ti]
 		tr.Attainment = attainment(tr.SLOMet, tr.Offered)
-		sort.Float64s(per[ti])
 		tr.P50 = units.Millis(stats.Percentile(per[ti], 50))
 		tr.P95 = units.Millis(stats.Percentile(per[ti], 95))
 		tr.P99 = units.Millis(stats.Percentile(per[ti], 99))
 	}
 	return t
+}
+
+// mergeSorted fills dst, whose length is the total length of the sorted
+// lists, with their ascending merge: each step takes the smallest head,
+// ties going to the earlier list.
+func mergeSorted(dst []float64, lists [][]float64) {
+	heads := make([]int, len(lists))
+	for k := range dst {
+		best := -1
+		for li, l := range lists {
+			if heads[li] < len(l) && (best < 0 || l[heads[li]] < lists[best][heads[best]]) {
+				best = li
+			}
+		}
+		dst[k] = lists[best][heads[best]]
+		heads[best]++
+	}
 }
 
 func attainment(met, offered int) float64 {

@@ -225,23 +225,27 @@ func Serve(opt ServeOptions) (*ServeReport, error) {
 		return nil, err
 	}
 	opt.fill()
+	e := newServeEngine(opt)
+	makespan, err := e.run()
+	if err != nil {
+		return nil, err
+	}
+	return e.serveReport(opt, makespan), nil
+}
 
+// newServeEngine seeds the one-node engine of the filled options.
+func newServeEngine(opt ServeOptions) *engine {
 	nd := node{pools: make([]pool, len(opt.Models))}
 	for mi, m := range opt.Models {
 		nd.pools[mi] = newPool(Profile{Latency: m.Latency, Period: m.Period}, m.Replicas, opt.Policy == ServeFIFO, nil)
 	}
-	e := newEngine(Options{
+	return newEngine(Options{
 		Tenants:   opt.Tenants,
 		Router:    RouterLeastLoad,
 		Admission: Admission{ShedHopeless: opt.Policy == ServeEDFShed},
 		Horizon:   opt.Horizon,
 		Seed:      opt.Seed,
 	}, []node{nd})
-	makespan, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	return e.serveReport(opt, makespan), nil
 }
 
 // ServeReport summarizes one single-node serving simulation: SLO

@@ -394,6 +394,10 @@ func TestServeModelCapacity(t *testing.T) {
 	}
 }
 
+// BenchmarkServeEDF is the gated benchmark of the one-node engine: two
+// open-loop tenants at 1.25x the capacity of two replicas under EDF.
+// Besides ns/op it reports events/op and ns/event, the engine's
+// per-unit cost.
 func BenchmarkServeEDF(b *testing.B) {
 	opt := ServeOptions{
 		Models: []ServeModel{testModel(2)},
@@ -410,4 +414,11 @@ func BenchmarkServeEDF(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	opt.fill()
+	e := newServeEngine(opt)
+	if _, err := e.run(); err != nil {
+		b.Fatal(err)
+	}
+	reportEventCost(b, e.popped)
 }
