@@ -272,8 +272,8 @@ func TestLedgerBoundInventory(t *testing.T) {
 			got[b.Vs] = append(got[b.Vs], name)
 		}
 	}
-	if seeded != 51 || len(l.Benchmarks) != 51 {
-		t.Errorf("%d of %d entries carry the seed bound, want all 51", seeded, len(l.Benchmarks))
+	if seeded != 50 || len(l.Benchmarks) != 50 {
+		t.Errorf("%d of %d entries carry the seed bound, want all 50", seeded, len(l.Benchmarks))
 	}
 	for _, cp := range slices.Sorted(maps.Keys(want)) {
 		if !slices.Equal(got[cp], want[cp].benches) {
@@ -343,9 +343,9 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 			}
 		}
 	}
-	// 51 seed entries x 2 metrics, 2x2 preincr, 3x2 preprune, 3 prelean.
-	if checks != 102+4+6+3 {
-		t.Errorf("%d bound checks, want 115", checks)
+	// 50 seed entries x 2 metrics, 2x2 preincr, 3x2 preprune, 3 prelean.
+	if checks != 100+4+6+3 {
+		t.Errorf("%d bound checks, want 113", checks)
 	}
 }
 

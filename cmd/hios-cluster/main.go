@@ -28,7 +28,7 @@ func main() {
 	var (
 		modelName = flag.String("model", "squeezenet", "model: inception, nasnet, squeezenet or resnet50")
 		size      = flag.Int("size", 0, "input image size (0 = model default)")
-		algo      = flag.String("algo", "hios-lp", "scheduling algorithm per platform: sequential, ios, hios-lp, hios-mr, inter-gpu-lp, inter-gpu-mr")
+		algo      = flag.String("algo", "hios-lp", "scheduling algorithm per platform: "+hios.AlgorithmUsage())
 		gpus      = flag.Int("gpus", 2, "GPUs per pipeline replica")
 		window    = flag.Int("window", 0, "max sliding-window size (0 = default)")
 

@@ -28,7 +28,7 @@ func main() {
 	var (
 		modelName = flag.String("model", "inception", "model: inception, nasnet, squeezenet, resnet50, randwire, or random")
 		size      = flag.Int("size", 0, "input image size (0 = model default)")
-		algo      = flag.String("algo", "hios-lp", "algorithm: sequential, ios, hios-lp, hios-mr, inter-gpu-lp, inter-gpu-mr")
+		algo      = flag.String("algo", "hios-lp", "algorithm: "+hios.AlgorithmUsage())
 		gpus      = flag.Int("gpus", 2, "number of GPUs per pipeline replica")
 		window    = flag.Int("window", 0, "max sliding-window size (0 = default)")
 		ops       = flag.Int("ops", 200, "random model: number of operators")

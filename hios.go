@@ -24,10 +24,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/dpcache"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/memory"
@@ -38,10 +41,7 @@ import (
 	"github.com/shus-lab/hios/internal/runtime"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/ios"
-	"github.com/shus-lab/hios/internal/sched/lp"
-	"github.com/shus-lab/hios/internal/sched/mr"
 	"github.com/shus-lab/hios/internal/sched/refine"
-	"github.com/shus-lab/hios/internal/sched/seq"
 	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/sim"
 	"github.com/shus-lab/hios/internal/trace"
@@ -137,26 +137,36 @@ type Algorithm string
 // The implemented schedulers (§V-B).
 const (
 	// Sequential executes operators one by one on a single GPU.
-	Sequential Algorithm = "sequential"
+	Sequential Algorithm = experiments.AlgoSequential
 	// IOS is the single-GPU inter-operator scheduler of Ding et al.
 	// (MLSys 2021): exact stage partitioning by dynamic programming.
-	IOS Algorithm = "ios"
+	IOS Algorithm = experiments.AlgoIOS
 	// HIOSLP is the paper's contribution: iterative longest-path
 	// mapping across GPUs plus sliding-window intra-GPU
 	// parallelization.
-	HIOSLP Algorithm = "hios-lp"
+	HIOSLP Algorithm = experiments.AlgoHIOSLP
 	// HIOSMR is the paper's alternative multi-GPU scheduler based on
 	// mapping recording (Algorithm 3).
-	HIOSMR Algorithm = "hios-mr"
+	HIOSMR Algorithm = experiments.AlgoHIOSMR
 	// InterLP is HIOS-LP without the intra-GPU pass.
-	InterLP Algorithm = "inter-gpu-lp"
+	InterLP Algorithm = experiments.AlgoInterLP
 	// InterMR is HIOS-MR without the intra-GPU pass.
-	InterMR Algorithm = "inter-gpu-mr"
+	InterMR Algorithm = experiments.AlgoInterMR
 )
 
 // Algorithms lists every implemented scheduler.
 func Algorithms() []Algorithm {
-	return []Algorithm{Sequential, IOS, HIOSLP, HIOSMR, InterLP, InterMR}
+	out := make([]Algorithm, len(experiments.AllAlgorithms))
+	for i, a := range experiments.AllAlgorithms {
+		out[i] = Algorithm(a)
+	}
+	return out
+}
+
+// AlgorithmUsage renders Algorithms() as a one-line flag usage string:
+// "sequential, ios, hios-lp, ...".
+func AlgorithmUsage() string {
+	return strings.Join(experiments.AllAlgorithms, ", ")
 }
 
 // Options configures scheduling. Every zero value selects a documented
@@ -190,16 +200,6 @@ var (
 	ErrBadIOSBound = errors.New("hios: negative IOS bound")
 )
 
-// multiGPU reports whether the algorithm places operators across
-// devices (and so requires Options.GPUs).
-func (a Algorithm) multiGPU() bool {
-	switch a {
-	case HIOSLP, HIOSMR, InterLP, InterMR:
-		return true
-	}
-	return false
-}
-
 // Validate checks the options against the selected algorithm and
 // returns the first violation wrapped around one of the sentinel errors
 // above (nil when the configuration is valid). Zero values with
@@ -208,12 +208,10 @@ func (a Algorithm) multiGPU() bool {
 // driver route their checking through here, so the rules live in one
 // place and callers can errors.Is-match the failure.
 func (o Options) Validate(algo Algorithm) error {
-	switch algo {
-	case Sequential, IOS, HIOSLP, HIOSMR, InterLP, InterMR:
-	default:
+	if !slices.Contains(experiments.AllAlgorithms, string(algo)) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownAlgorithm, string(algo), Algorithms())
 	}
-	if algo.multiGPU() && o.GPUs < 1 {
+	if experiments.MultiGPU(string(algo)) && o.GPUs < 1 {
 		return fmt.Errorf("%w: %s got GPUs=%d", ErrNoGPUs, algo, o.GPUs)
 	}
 	if o.Window < 0 {
@@ -232,20 +230,11 @@ func Optimize(g *Graph, m CostModel, algo Algorithm, opt Options) (Result, error
 	if err := opt.Validate(algo); err != nil {
 		return Result{}, err
 	}
-	switch algo {
-	case Sequential:
-		return seq.Schedule(g, m)
-	case IOS:
-		return ios.Schedule(g, m, ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow})
-	case HIOSLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, Window: opt.Window})
-	case HIOSMR:
-		return mr.Schedule(g, m, mr.Options{GPUs: opt.GPUs, Window: opt.Window})
-	case InterLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: opt.GPUs, InterOnly: true})
-	default: // InterMR; Validate rejected everything else
-		return mr.Schedule(g, m, mr.Options{GPUs: opt.GPUs, InterOnly: true})
-	}
+	return experiments.Run(string(algo), g, m, experiments.RunConfig{
+		GPUs:   opt.GPUs,
+		Window: opt.Window,
+		IOS:    ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow},
+	})
 }
 
 // Parallelize applies the intra-GPU sliding-window pass (Algorithm 2) to

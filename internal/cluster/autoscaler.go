@@ -89,6 +89,9 @@ func (a AutoscalerOptions) Validate() error {
 	if !a.Enabled {
 		return nil
 	}
+	if !finite(float64(a.Interval), float64(a.Cooldown), a.HighDepth, a.LowDepth, a.AttainmentFloor) {
+		return fmt.Errorf("%w: non-finite interval, cooldown, depth threshold or attainment floor", ErrBadAutoscaler)
+	}
 	if a.Interval < 0 || a.Cooldown < 0 {
 		return fmt.Errorf("%w: negative interval or cooldown", ErrBadAutoscaler)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -433,5 +434,71 @@ func TestProfileOf(t *testing.T) {
 	p := ProfileOf("a40", serveModel())
 	if p.Platform != "a40" || p.Latency != 4 || p.Period != 2 || p.Busy != 3 {
 		t.Fatalf("ProfileOf = %+v", p)
+	}
+}
+
+// TestValidateRejectsNonFinite feeds NaN, +Inf and -Inf to every float
+// field Options.Validate and ServeOptions.Validate read. Each must be
+// rejected with the field's sentinel: NaN slips past the range checks,
+// and an infinite rate or horizon never ends the arrival pre-draw. Only
+// Validate runs, so an accepted value fails here instead of hanging Run.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	scaler := func(o *Options) *AutoscalerOptions {
+		o.Autoscaler.Enabled = true
+		return &o.Autoscaler
+	}
+	fields := []struct {
+		name string
+		set  func(*Options, float64)
+		want error
+	}{
+		{"tenant rate", func(o *Options, v float64) { o.Tenants[0].Rate = v }, ErrBadTenant},
+		{"tenant deadline", func(o *Options, v float64) { o.Tenants[0].Deadline = units.Millis(v) }, ErrBadTenant},
+		{"tenant think", func(o *Options, v float64) {
+			o.Tenants[0].Rate, o.Tenants[0].Clients, o.Tenants[0].Think = 0, 2, units.Millis(v)
+		}, ErrBadTenant},
+		{"profile latency", func(o *Options, v float64) { o.Deployments[0].Profiles[0].Latency = units.Millis(v) }, ErrBadDeployment},
+		{"profile period", func(o *Options, v float64) { o.Deployments[0].Profiles[0].Period = units.Millis(v) }, ErrBadDeployment},
+		{"profile busy", func(o *Options, v float64) { o.Deployments[0].Profiles[0].Busy = units.Millis(v) }, ErrBadDeployment},
+		{"admission rate", func(o *Options, v float64) { o.Admission.RatePerSec = v }, ErrBadAdmission},
+		{"horizon", func(o *Options, v float64) { o.Horizon = units.Millis(v) }, ErrBadHorizon},
+		{"autoscaler interval", func(o *Options, v float64) { scaler(o).Interval = units.Millis(v) }, ErrBadAutoscaler},
+		{"autoscaler cooldown", func(o *Options, v float64) { scaler(o).Cooldown = units.Millis(v) }, ErrBadAutoscaler},
+		{"autoscaler high depth", func(o *Options, v float64) { scaler(o).HighDepth = v }, ErrBadAutoscaler},
+		{"autoscaler low depth", func(o *Options, v float64) { scaler(o).LowDepth = v }, ErrBadAutoscaler},
+		{"autoscaler attainment floor", func(o *Options, v float64) { scaler(o).AttainmentFloor = v }, ErrBadAutoscaler},
+	}
+	serveFields := []struct {
+		name string
+		set  func(*ServeOptions, float64)
+		want error
+	}{
+		{"tenant rate", func(o *ServeOptions, v float64) { o.Tenants[0].Rate = v }, ErrServeBadTenant},
+		{"tenant deadline", func(o *ServeOptions, v float64) { o.Tenants[0].Deadline = units.Millis(v) }, ErrServeBadTenant},
+		{"tenant think", func(o *ServeOptions, v float64) {
+			o.Tenants[0].Rate, o.Tenants[0].Clients, o.Tenants[0].Think = 0, 2, units.Millis(v)
+		}, ErrServeBadTenant},
+		{"model latency", func(o *ServeOptions, v float64) { o.Models[0].Latency = units.Millis(v) }, ErrServeBadModel},
+		{"model period", func(o *ServeOptions, v float64) { o.Models[0].Period = units.Millis(v) }, ErrServeBadModel},
+		{"horizon", func(o *ServeOptions, v float64) { o.Horizon = units.Millis(v) }, ErrServeBadHorizon},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, f := range fields {
+			o := testOptions()
+			f.set(&o, v)
+			if err := o.Validate(); !errors.Is(err, f.want) {
+				t.Errorf("cluster %s = %g: Validate() = %v, want %v", f.name, v, err, f.want)
+			}
+		}
+		for _, f := range serveFields {
+			o := ServeOptions{
+				Models:  []ServeModel{serveModel()},
+				Tenants: []Tenant{{Name: "a", Deadline: 10, Rate: 50}},
+			}
+			f.set(&o, v)
+			if err := o.Validate(); !errors.Is(err, f.want) {
+				t.Errorf("serve %s = %g: Validate() = %v, want %v", f.name, v, err, f.want)
+			}
+		}
 	}
 }

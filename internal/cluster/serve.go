@@ -189,6 +189,9 @@ func (o ServeOptions) Validate() error {
 		return ErrServeNoModels
 	}
 	for i, m := range o.Models {
+		if !finite(float64(m.Latency), float64(m.Period)) {
+			return fmt.Errorf("%w: model %d (%s) has a non-finite latency or period", ErrServeBadModel, i, m.Name)
+		}
 		if m.Latency <= 0 || m.Period <= 0 {
 			return fmt.Errorf("%w: model %d (%s) needs positive latency and period", ErrServeBadModel, i, m.Name)
 		}
@@ -208,7 +211,7 @@ func (o ServeOptions) Validate() error {
 	if o.Policy != "" && !ServeRegistry.Valid(o.Policy) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrServeUnknownPolicy, string(o.Policy), ServePolicies())
 	}
-	if o.Horizon < 0 {
+	if !finite(float64(o.Horizon)) || o.Horizon < 0 {
 		return fmt.Errorf("%w: %g ms", ErrServeBadHorizon, float64(o.Horizon))
 	}
 	return nil

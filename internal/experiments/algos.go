@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -36,6 +37,10 @@ var (
 	multiGPU  = []string{AlgoHIOSLP, AlgoHIOSMR, AlgoInterLP, AlgoInterMR}
 )
 
+// MultiGPU reports whether the algorithm reads the GPU count (and so
+// needs at least one GPU).
+func MultiGPU(algo string) bool { return slices.Contains(multiGPU, algo) }
+
 // RealSystemAlgorithms is the four-way comparison of Fig. 12.
 var RealSystemAlgorithms = []string{AlgoSequential, AlgoIOS, AlgoHIOSLP, AlgoHIOSMR}
 
@@ -50,37 +55,57 @@ type RunConfig struct {
 	IOS ios.Options
 }
 
-// Run executes the named algorithm on g under cost model m.
+// interOf maps each HIOS-* algorithm to the Inter-* algorithm whose
+// schedule its sliding-window pass refines.
+var interOf = map[string]string{AlgoHIOSLP: AlgoInterLP, AlgoHIOSMR: AlgoInterMR}
+
+// Run executes the named algorithm on g under cost model m. This is the
+// one place HIOS-LP and HIOS-MR are defined: the sliding-window intra-GPU
+// pass (Algorithm 2) over the Inter-LP / Inter-MR schedule, with window 0
+// selecting window.DefaultSize.
 func Run(algo string, g *graph.Graph, m cost.Model, cfg RunConfig) (sched.Result, error) {
+	return runFrom(algo, g, m, cfg, nil)
+}
+
+// runFrom is Run, except that a HIOS-* algorithm refines inter when it is
+// non-nil instead of running its inter-GPU pass again.
+func runFrom(algo string, g *graph.Graph, m cost.Model, cfg RunConfig, inter *sched.Result) (sched.Result, error) {
 	switch algo {
 	case AlgoSequential:
 		return seq.Schedule(g, m)
 	case AlgoIOS:
 		return ios.Schedule(g, m, cfg.IOS)
-	case AlgoHIOSLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: cfg.GPUs, Window: cfg.Window})
-	case AlgoHIOSMR:
-		return mr.Schedule(g, m, mr.Options{GPUs: cfg.GPUs, Window: cfg.Window})
 	case AlgoInterLP:
-		return lp.Schedule(g, m, lp.Options{GPUs: cfg.GPUs, InterOnly: true})
+		return lp.Schedule(g, m, lp.Options{GPUs: cfg.GPUs})
 	case AlgoInterMR:
-		return mr.Schedule(g, m, mr.Options{GPUs: cfg.GPUs, InterOnly: true})
+		return mr.Schedule(g, m, mr.Options{GPUs: cfg.GPUs})
+	case AlgoHIOSLP, AlgoHIOSMR:
+		if inter == nil {
+			res, err := Run(interOf[algo], g, m, cfg)
+			if err != nil {
+				return sched.Result{}, err
+			}
+			inter = &res
+		}
+		w := cfg.Window
+		switch {
+		case w < 0:
+			return sched.Result{}, fmt.Errorf("%s: negative window %d", strings.TrimPrefix(algo, "hios-"), w)
+		case w == 0:
+			w = window.DefaultSize
+		}
+		return window.Parallelize(g, m, inter.Schedule, w)
 	default:
 		return sched.Result{}, fmt.Errorf("experiments: unknown algorithm %q", algo)
 	}
 }
 
-// interTwin maps each HIOS-* algorithm to the Inter-* algorithm whose
-// schedule its sliding-window pass refines.
-var interTwin = map[string]string{AlgoHIOSLP: AlgoInterLP, AlgoHIOSMR: AlgoInterMR}
-
 // runAll runs the named algorithms on one graph and returns their results
 // in list order: the results of Run for each name, bit for bit. When the
 // list holds both an Inter-* algorithm and its HIOS-* twin, the inter-GPU
-// pass runs once and the HIOS-* result is window.Parallelize over its
-// schedule — the same call lp.Schedule and mr.Schedule make after their
-// own inter pass (DESIGN.md §7). On error, failed names the first
-// algorithm in list order that failed, as the serial loop over Run would.
+// pass runs once and the HIOS-* result refines its schedule. On error,
+// failed names the first algorithm in list order that failed, as the
+// serial loop over Run would.
 func runAll(algos []string, g *graph.Graph, m cost.Model, cfg RunConfig) (res []sched.Result, failed string, err error) {
 	res = make([]sched.Result, len(algos))
 	done := make([]bool, len(algos))
@@ -88,43 +113,20 @@ func runAll(algos []string, g *graph.Graph, m cost.Model, cfg RunConfig) (res []
 		if done[i] {
 			continue
 		}
-		j := -1
-		if inter, ok := interTwin[a]; ok {
-			j = slices.Index(algos, inter)
-		}
-		if j < 0 {
-			if res[i], err = Run(a, g, m, cfg); err != nil {
-				return nil, a, err
+		var inter *sched.Result
+		if j := slices.Index(algos, interOf[a]); j >= 0 { // -1 unless a is HIOS-* with its twin listed
+			if !done[j] {
+				if res[j], err = Run(algos[j], g, m, cfg); err != nil {
+					return nil, a, err
+				}
+				done[j] = true
 			}
-			done[i] = true
-			continue
+			inter = &res[j]
 		}
-		if err := validateHIOS(a, cfg); err != nil {
-			return nil, a, err
-		}
-		if !done[j] {
-			if res[j], err = Run(algos[j], g, m, cfg); err != nil {
-				return nil, a, err
-			}
-			done[j] = true
-		}
-		w := cfg.Window
-		if w == 0 {
-			w = window.DefaultSize
-		}
-		if res[i], err = window.Parallelize(g, m, res[j].Schedule, w); err != nil {
+		if res[i], err = runFrom(a, g, m, cfg, inter); err != nil {
 			return nil, a, err
 		}
 		done[i] = true
 	}
 	return res, "", nil
-}
-
-// validateHIOS checks the options Run would pass to a HIOS-* scheduler,
-// so runAll rejects what Run rejects, with the same error.
-func validateHIOS(algo string, cfg RunConfig) error {
-	if algo == AlgoHIOSLP {
-		return lp.Options{GPUs: cfg.GPUs, Window: cfg.Window}.Validate()
-	}
-	return mr.Options{GPUs: cfg.GPUs, Window: cfg.Window}.Validate()
 }

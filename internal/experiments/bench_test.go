@@ -81,7 +81,7 @@ func BenchmarkSchedulerLP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lp.Schedule(g, m, lp.Options{GPUs: 4, InterOnly: true}); err != nil {
+		if _, err := lp.Schedule(g, m, lp.Options{GPUs: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func BenchmarkSchedulerMR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mr.Schedule(g, m, mr.Options{GPUs: 4, InterOnly: true}); err != nil {
+		if _, err := mr.Schedule(g, m, mr.Options{GPUs: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkSchedulerMR(b *testing.B) {
 func BenchmarkWindowRefine(b *testing.B) {
 	g := randdag.MustGenerate(benchGraphAndModel())
 	m := cost.FromGraph(g, cost.DefaultContention())
-	base, err := lp.Schedule(g, m, lp.Options{GPUs: 4, InterOnly: true})
+	base, err := lp.Schedule(g, m, lp.Options{GPUs: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/shus-lab/hios/internal/parallel"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/stats"
 )
 
@@ -49,14 +48,14 @@ func ClusterStudy(opt SimOptions) (Figure, error) {
 		flat := cost.FromGraph(g, cost.DefaultContention())
 		// Blind: one schedule decided on the flat model, reused at
 		// every factor (the scheduler does not know the topology).
-		blindRes, err := lp.Schedule(g, flat, lp.Options{GPUs: nodes * perNode})
+		blindRes, err := Run(AlgoHIOSLP, g, flat, RunConfig{GPUs: nodes * perNode})
 		if err != nil {
 			return row{}, err
 		}
 		r := row{aware: make([]float64, len(factors)), blind: make([]float64, len(factors))}
 		for i, f := range factors {
 			topo := cost.WithTopology(flat, gpu.TwoLevel(nodes, perNode, f))
-			awareRes, err := lp.Schedule(g, topo, lp.Options{GPUs: nodes * perNode})
+			awareRes, err := Run(AlgoHIOSLP, g, topo, RunConfig{GPUs: nodes * perNode})
 			if err != nil {
 				return row{}, err
 			}

@@ -60,11 +60,11 @@ func OptimalityGap(seeds, ops int) (Figure, error) {
 		if err != nil && !errors.Is(err, bnb.ErrTruncated) {
 			return [2]float64{}, err
 		}
-		lpRes, err := lp.Schedule(g, m, lp.Options{GPUs: gpus, InterOnly: true})
+		lpRes, err := lp.Schedule(g, m, lp.Options{GPUs: gpus})
 		if err != nil {
 			return [2]float64{}, err
 		}
-		mrRes, err := mr.Schedule(g, m, mr.Options{GPUs: gpus, InterOnly: true})
+		mrRes, err := mr.Schedule(g, m, mr.Options{GPUs: gpus})
 		if err != nil {
 			return [2]float64{}, err
 		}

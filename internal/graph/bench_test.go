@@ -51,16 +51,3 @@ func BenchmarkReachable400(b *testing.B) {
 		g.Reachable(0, OpID(g.NumOps()-1))
 	}
 }
-
-func BenchmarkContractionAcyclic200(b *testing.B) {
-	g := benchGraph(200, 400)
-	c := NewContraction(g)
-	c.Group([]OpID{10, 20})
-	c.Group([]OpID{30, 40, 50})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !c.Acyclic() {
-			b.Fatal("unexpected cycle")
-		}
-	}
-}

@@ -188,48 +188,3 @@ func TestLongestValidPathDominatesSingles(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestContractionGroupingAndCycles(t *testing.T) {
-	g := diamond(t, 1, 1, 1, 1, 0)
-	c := NewContraction(g)
-	if !c.Acyclic() {
-		t.Fatal("identity contraction of a DAG must be acyclic")
-	}
-	// Grouping the independent middle vertices keeps it acyclic.
-	c2 := c.Clone()
-	c2.Group([]OpID{1, 2})
-	if !c2.Acyclic() {
-		t.Fatal("grouping {b,c} must stay acyclic")
-	}
-	if !c2.SameGroup(1, 2) || c2.SameGroup(0, 1) {
-		t.Fatal("SameGroup bookkeeping wrong")
-	}
-	// Grouping a with d (path a->b->d) creates a cycle.
-	c3 := c.Clone()
-	c3.Group([]OpID{0, 3})
-	if c3.Acyclic() {
-		t.Fatal("grouping {a,d} must create a cycle")
-	}
-}
-
-func TestContractionExtraEdges(t *testing.T) {
-	// Two independent chains a->b and c->d; extra sequence edges b->c
-	// and d->a (as per-GPU orders might induce) create a cycle.
-	g := New(4, 2)
-	a := g.AddOp(Op{Time: 1})
-	b := g.AddOp(Op{Time: 1})
-	c := g.AddOp(Op{Time: 1})
-	d := g.AddOp(Op{Time: 1})
-	g.AddEdge(a, b, 0)
-	g.AddEdge(c, d, 0)
-	g.MustFinalize()
-	ct := NewContraction(g)
-	ct.AddEdge(b, c)
-	if !ct.Acyclic() {
-		t.Fatal("b->c alone must not create a cycle")
-	}
-	ct.AddEdge(d, a)
-	if ct.Acyclic() {
-		t.Fatal("adding d->a must create a cycle")
-	}
-}

@@ -78,180 +78,3 @@ func (g *Graph) ReachableBFS(rs *ReachScratch, u, v OpID) bool {
 	}
 	return false
 }
-
-// Contraction is a view of a graph in which groups of vertices have been
-// merged into single super-nodes, as done by Algorithm 2 when it fuses a
-// window of operators into one stage. It supports incremental grouping and
-// acyclicity checks without copying the underlying graph.
-type Contraction struct {
-	g *Graph
-	// rep[v] is the representative super-node of v (union-find with path
-	// compression; no ranks needed at these sizes).
-	rep []OpID
-	// extra holds additional edges between super-nodes that are not
-	// data edges of g: Algorithm 2's implicit dependencies, i.e. the
-	// sequential-order edges between consecutive stages on each GPU.
-	extra [][2]OpID
-
-	// Acyclic scratch, reused across calls (not copied by Clone).
-	cnt   []int
-	off   []int
-	flat  []OpID
-	indeg []int
-	ready []OpID
-}
-
-// NewContraction returns an identity contraction of g.
-func NewContraction(g *Graph) *Contraction {
-	rep := make([]OpID, g.NumOps())
-	for i := range rep {
-		rep[i] = OpID(i)
-	}
-	return &Contraction{g: g, rep: rep}
-}
-
-// Find returns the representative super-node of v.
-func (c *Contraction) Find(v OpID) OpID {
-	for c.rep[v] != v {
-		c.rep[v] = c.rep[c.rep[v]] // path halving
-		v = c.rep[v]
-	}
-	return v
-}
-
-// Group merges all the given vertices into one super-node (the group's
-// smallest representative wins, keeping results deterministic).
-func (c *Contraction) Group(ids []OpID) {
-	if len(ids) == 0 {
-		return
-	}
-	root := c.Find(ids[0])
-	for _, id := range ids[1:] {
-		r := c.Find(id)
-		if r < root {
-			c.rep[root] = r
-			root = r
-		} else if r != root {
-			c.rep[r] = root
-		}
-	}
-}
-
-// AddEdge records an extra (implicit) dependency from u's super-node to
-// v's super-node, such as per-GPU stage order.
-func (c *Contraction) AddEdge(u, v OpID) {
-	c.extra = append(c.extra, [2]OpID{u, v})
-}
-
-// SameGroup reports whether u and v currently share a super-node.
-func (c *Contraction) SameGroup(u, v OpID) bool { return c.Find(u) == c.Find(v) }
-
-// Clone returns an independent copy of the contraction (same underlying
-// graph, fresh scratch). Used to trial a grouping before committing it.
-func (c *Contraction) Clone() *Contraction {
-	rep := make([]OpID, len(c.rep))
-	copy(rep, c.rep)
-	extra := make([][2]OpID, len(c.extra))
-	copy(extra, c.extra)
-	return &Contraction{g: c.g, rep: rep, extra: extra}
-}
-
-// Acyclic reports whether the contracted multigraph (data edges of the
-// underlying graph plus the extra edges, with grouped vertices merged) has
-// no directed cycle. Self-loops inside a group are ignored: members of one
-// stage are checked for independence separately.
-//
-// The super-node adjacency is built in CSR form over reusable scratch —
-// two counted passes over the edge lists into one flat successor array —
-// so repeated checks on one contraction allocate nothing once warm.
-// Parallel edges between two super-nodes are kept (Kahn's algorithm is
-// correct on multigraphs: in-degrees count edge multiplicity and every
-// traversal decrements symmetrically), which drops the historical
-// map-based dedupe entirely.
-//
-// Root annotation: the scheduler's window search validates stages through
-// its own incremental structures, so Acyclic has no static in-module hot
-// caller — it is a hot entry point for external users and benchmarks.
-//
-//lint:hotpath
-func (c *Contraction) Acyclic() bool {
-	n := c.g.NumOps()
-	ne := len(c.g.edges) + len(c.extra)
-	c.cnt = growScratch(c.cnt, n)
-	c.off = growScratch(c.off, n+1)
-	c.flat = growScratch(c.flat, ne)
-	c.indeg = growScratch(c.indeg, n)
-	for v := 0; v < n; v++ {
-		c.cnt[v] = 0
-		c.indeg[v] = 0
-	}
-	// Counting pass over both edge lists.
-	for i := range c.g.edges {
-		e := &c.g.edges[i]
-		ru, rv := c.Find(e.From), c.Find(e.To)
-		if ru == rv {
-			continue
-		}
-		c.cnt[ru]++
-		c.indeg[rv]++
-	}
-	for _, e := range c.extra {
-		ru, rv := c.Find(e[0]), c.Find(e[1])
-		if ru == rv {
-			continue
-		}
-		c.cnt[ru]++
-		c.indeg[rv]++
-	}
-	// Prefix sums, then the fill pass in the same order (Find is now
-	// fully path-compressed, so the repeated lookups are cheap).
-	sum := 0
-	for v := 0; v < n; v++ {
-		c.off[v] = sum
-		sum += c.cnt[v]
-		c.cnt[v] = c.off[v] // becomes the fill cursor
-	}
-	c.off[n] = sum
-	for i := range c.g.edges {
-		e := &c.g.edges[i]
-		ru, rv := c.Find(e.From), c.Find(e.To)
-		if ru == rv {
-			continue
-		}
-		c.flat[c.cnt[ru]] = rv
-		c.cnt[ru]++
-	}
-	for _, e := range c.extra {
-		ru, rv := c.Find(e[0]), c.Find(e[1])
-		if ru == rv {
-			continue
-		}
-		c.flat[c.cnt[ru]] = rv
-		c.cnt[ru]++
-	}
-	// Kahn over representatives.
-	nrep := 0
-	c.ready = c.ready[:0]
-	for v := 0; v < n; v++ {
-		if c.Find(OpID(v)) == OpID(v) {
-			nrep++
-			if c.indeg[v] == 0 {
-				c.ready = append(c.ready, OpID(v))
-			}
-		}
-	}
-	visited := 0
-	for len(c.ready) > 0 {
-		v := c.ready[len(c.ready)-1]
-		c.ready = c.ready[:len(c.ready)-1]
-		visited++
-		for k := c.off[v]; k < c.off[v+1]; k++ {
-			w := c.flat[k]
-			c.indeg[w]--
-			if c.indeg[w] == 0 {
-				c.ready = append(c.ready, w)
-			}
-		}
-	}
-	return visited == nrep
-}

@@ -1,16 +1,14 @@
-// Package kernels provides the compute kernels the multi-worker executor
-// runs on each simulated GPU. Two kinds live here:
+// Package kernels provides the compute kernel the multi-worker executor
+// runs on each simulated GPU: a deterministic synthetic operator (Synth)
+// that derives its output from its inputs through a fixed mixing function
+// and burns a calibrated amount of floating-point work, so schedules with
+// different concurrency exhibit realistic timing while remaining
+// bit-reproducible. The executor runs Synth for every operator, CNN
+// benchmarks included.
 //
-//   - Real dense kernels (GEMM, direct 2-D convolution, pooling,
-//     elementwise add, channel concat) with reference semantics, so the
-//     executor can run genuine numerical work and the test suite can check
-//     results against naive re-computation.
-//
-//   - A deterministic synthetic operator (Synth) used when a graph has no
-//     tensor semantics (random DAGs): it derives its output from its
-//     inputs through a fixed mixing function and burns a calibrated amount
-//     of floating-point work, so schedules with different concurrency
-//     exhibit realistic timing while remaining bit-reproducible.
+// The dense kernels (GEMM, direct 2-D convolution, pooling, elementwise
+// add, channel concat) are reference implementations checked against
+// naive re-computation in this package's tests; nothing else calls them.
 package kernels
 
 import (

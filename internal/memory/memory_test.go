@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/model"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/seq"
 )
 
@@ -105,7 +105,7 @@ func TestInceptionFitsA40(t *testing.T) {
 	plat := gpu.DualA40()
 	net := model.InceptionV3(plat.Dev, plat.Link, 1024)
 	m := cost.FromGraph(net.G, cost.DefaultContention())
-	res, err := lp.Schedule(net.G, m, lp.Options{GPUs: 2})
+	res, err := experiments.Run(experiments.AlgoHIOSLP, net.G, m, experiments.RunConfig{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestMultiGPUSplitsFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpRes, err := lp.Schedule(net.G, m, lp.Options{GPUs: 2})
+	lpRes, err := experiments.Run(experiments.AlgoHIOSLP, net.G, m, experiments.RunConfig{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
-	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -22,10 +21,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	tab := NewTable(inner, 1, 1)
 
 	// Profile through a real scheduling run.
-	live, err := lp.Schedule(g, tab, lp.Options{GPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := hiosLP(t, g, tab, 2)
 
 	data, err := tab.Export("random-30")
 	if err != nil {
@@ -41,10 +37,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Re-scheduling against the frozen profile must reproduce the run
 	// exactly: same schedule, same latency, zero misses.
-	replay, err := lp.Schedule(g, frozen, lp.Options{GPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	replay := hiosLP(t, g, frozen, 2)
 	if replay.Latency != live.Latency {
 		t.Fatalf("frozen replay latency %g != live %g", replay.Latency, live.Latency)
 	}

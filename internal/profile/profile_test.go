@@ -7,9 +7,26 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
+	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/lp"
+	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
 )
+
+// hiosLP runs HIOS-LP as experiments.Run composes it, the LP mapping pass
+// and then the sliding-window pass, so a profile sees both passes' probes.
+func hiosLP(t *testing.T, g *graph.Graph, m cost.Model, gpus int) sched.Result {
+	t.Helper()
+	inter, err := lp.Schedule(g, m, lp.Options{GPUs: gpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func build(t *testing.T) (*graph.Graph, cost.Model) {
 	t.Helper()
@@ -99,15 +116,9 @@ func TestMemoizationIsTransparentToSchedulers(t *testing.T) {
 	g := randdag.MustGenerate(cfg)
 	m := cost.FromGraph(g, cost.DefaultContention())
 
-	direct, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := hiosLP(t, g, m, 3)
 	tab := NewTable(m, 1, 1)
-	profiled, err := lp.Schedule(g, tab, lp.Options{GPUs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	profiled := hiosLP(t, g, tab, 3)
 	if direct.Latency != profiled.Latency {
 		t.Fatalf("profiling changed the result: %g vs %g", direct.Latency, profiled.Latency)
 	}

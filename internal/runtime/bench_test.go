@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/randdag"
-	"github.com/shus-lab/hios/internal/sched/lp"
 )
 
 // BenchmarkExecute measures one live multi-worker execution (goroutines +
@@ -16,7 +16,7 @@ func BenchmarkExecute60Ops4GPUs(b *testing.B) {
 	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 60, 6, 120, 2
 	g := randdag.MustGenerate(cfg)
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := lp.Schedule(g, m, lp.Options{GPUs: 4})
+	res, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

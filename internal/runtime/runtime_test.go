@@ -5,12 +5,11 @@ import (
 	"time"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/ios"
-	"github.com/shus-lab/hios/internal/sched/lp"
-	"github.com/shus-lab/hios/internal/sched/mr"
 	"github.com/shus-lab/hios/internal/sched/seq"
 )
 
@@ -78,13 +77,13 @@ func TestAllSchedulersComputeIdenticalResults(t *testing.T) {
 	run("ios", io.Schedule)
 
 	for _, gpus := range []int{2, 4} {
-		l, err := lp.Schedule(g, m, lp.Options{GPUs: gpus})
+		l, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: gpus})
 		if err != nil {
 			t.Fatal(err)
 		}
 		run("hios-lp", l.Schedule)
 
-		r, err := mr.Schedule(g, m, mr.Options{GPUs: gpus})
+		r, err := experiments.Run(experiments.AlgoHIOSMR, g, m, experiments.RunConfig{GPUs: gpus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +105,7 @@ func TestTransfersHappenOnlyAcrossGPUs(t *testing.T) {
 		t.Fatalf("single-GPU schedule moved %d messages", rep.Messages)
 	}
 
-	l, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
+	l, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestRefusesDeadlock(t *testing.T) {
 
 func TestGPUBusyAccounted(t *testing.T) {
 	g, m := testGraph(4, 30)
-	l, err := lp.Schedule(g, m, lp.Options{GPUs: 2})
+	l, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestReferenceDeterministic(t *testing.T) {
 
 func TestSpansCoverExecutionAndConvert(t *testing.T) {
 	g, m := testGraph(6, 30)
-	l, err := lp.Schedule(g, m, lp.Options{GPUs: 2})
+	l, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,11 @@ func TestLowerBoundsHeuristics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lpRes, err := lp.Schedule(g, m, lp.Options{GPUs: 2, InterOnly: true})
+		lpRes, err := lp.Schedule(g, m, lp.Options{GPUs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mrRes, err := mr.Schedule(g, m, mr.Options{GPUs: 2, InterOnly: true})
+		mrRes, err := mr.Schedule(g, m, mr.Options{GPUs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,19 +44,7 @@ type Timing struct {
 // the cost model's t(S).
 func Evaluate(g *graph.Graph, m cost.Model, s *Schedule) (*Timing, error) {
 	var e Evaluator
-	if err := e.validate(g, s, false); err != nil {
-		return nil, err
-	}
-	return e.timing(g, m, s)
-}
-
-// EvaluatePartial is Evaluate for schedules covering only a subset of the
-// graph's operators, as arise during HIOS-LP's incremental trial mappings.
-// Dependencies touching an unscheduled operator are ignored; scheduled
-// operators must still appear exactly once.
-func EvaluatePartial(g *graph.Graph, m cost.Model, s *Schedule) (*Timing, error) {
-	var e Evaluator
-	if err := e.validate(g, s, true); err != nil {
+	if err := e.validate(g, s); err != nil {
 		return nil, err
 	}
 	return e.timing(g, m, s)
@@ -66,12 +54,6 @@ func EvaluatePartial(g *graph.Graph, m cost.Model, s *Schedule) (*Timing, error)
 func Latency(g *graph.Graph, m cost.Model, s *Schedule) (units.Millis, error) {
 	var e Evaluator
 	return e.Latency(g, m, s)
-}
-
-// LatencyPartial evaluates a partial schedule and returns its makespan.
-func LatencyPartial(g *graph.Graph, m cost.Model, s *Schedule) (units.Millis, error) {
-	var e Evaluator
-	return e.LatencyPartial(g, m, s)
 }
 
 // Evaluator computes schedule timings with reusable scratch buffers. The
@@ -114,22 +96,7 @@ type Evaluator struct {
 // Latency computes the makespan of a complete schedule, reusing the
 // evaluator's scratch buffers.
 func (e *Evaluator) Latency(g *graph.Graph, m cost.Model, s *Schedule) (units.Millis, error) {
-	if err := e.validate(g, s, false); err != nil {
-		return 0, err
-	}
-	return e.compute(g, m, s)
-}
-
-// LatencyPartial computes the makespan of a partial schedule, reusing the
-// evaluator's scratch buffers.
-//
-// Root annotation: the window search moved to FuseEvaluator, so the only
-// static in-module caller left is the cold convenience wrapper — partial
-// evaluation stays hot for external callers and benchmarks.
-//
-//lint:hotpath
-func (e *Evaluator) LatencyPartial(g *graph.Graph, m cost.Model, s *Schedule) (units.Millis, error) {
-	if err := e.validate(g, s, true); err != nil {
+	if err := e.validate(g, s); err != nil {
 		return 0, err
 	}
 	return e.compute(g, m, s)
@@ -140,7 +107,8 @@ func (e *Evaluator) LatencyPartial(g *graph.Graph, m cost.Model, s *Schedule) (u
 // materializing the Schedule. HIOS-LP calls this once per (path, GPU)
 // trial mapping — the hot loop of Algorithm 1 — and with the evaluator's
 // scratch warmed the trial runs allocation-free. Operators with
-// place < 0 are unscheduled (partial evaluation); the implied schedule is
+// place < 0 are unscheduled, and dependencies touching them are ignored;
+// the implied schedule is
 // structurally valid by construction, so no validate pass runs. Stage
 // ids, durations and dependency order match compute() on the
 // materialized schedule exactly, keeping the two paths bit-identical.
@@ -183,8 +151,8 @@ func (e *Evaluator) singletonTime(m cost.Model, op graph.OpID) units.Millis {
 }
 
 // validate checks the structural invariants of s against g using scratch
-// storage; partial permits schedules covering a subset of the operators.
-func (e *Evaluator) validate(g *graph.Graph, s *Schedule, partial bool) error {
+// storage.
+func (e *Evaluator) validate(g *graph.Graph, s *Schedule) error {
 	n := g.NumOps()
 	e.seen = growSlice(e.seen, n)
 	for i := range e.seen {
@@ -208,7 +176,7 @@ func (e *Evaluator) validate(g *graph.Graph, s *Schedule, partial bool) error {
 			}
 		}
 	}
-	if !partial && count != n {
+	if count != n {
 		return fmt.Errorf("sched: %d of %d operators scheduled", count, n)
 	}
 	return nil
@@ -284,7 +252,7 @@ func (e *Evaluator) finishCompute(g *graph.Graph, m cost.Model, ns int) (units.M
 	for _, ed := range g.Edges() {
 		su, sv := e.opStage[ed.From], e.opStage[ed.To]
 		if su < 0 || sv < 0 {
-			continue // endpoint unscheduled: partial evaluation
+			continue // endpoint unscheduled (LatencyFromPlacement's place < 0)
 		}
 		if su == sv {
 			return 0, fmt.Errorf("sched: operators %d and %d share a stage but have a direct dependency", ed.From, ed.To)
@@ -449,14 +417,7 @@ func growSliceCap[T any](buf []T, n int) []T {
 // graphs) are detected by Evaluate.
 func Validate(g *graph.Graph, s *Schedule) error {
 	var e Evaluator
-	return e.validate(g, s, false)
-}
-
-// ValidatePartial is Validate without the completeness requirement: a
-// schedule may cover any subset of the operators, each at most once.
-func ValidatePartial(g *graph.Graph, s *Schedule) error {
-	var e Evaluator
-	return e.validate(g, s, true)
+	return e.validate(g, s)
 }
 
 // Result pairs a schedule with its evaluated latency; every scheduling

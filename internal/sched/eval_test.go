@@ -300,11 +300,10 @@ func TestEvaluateRespectsPrecedenceProperty(t *testing.T) {
 	}
 }
 
-// Each distinct error branch of Validate/ValidatePartial, with the
-// message pinned so refactors cannot silently merge branches: duplicate
-// across two stages on different GPUs, missing operator, unknown and
-// negative IDs, and empty stages — plus the partial variant's laxer
-// completeness rule.
+// Each distinct error branch of Validate, with the message pinned so
+// refactors cannot silently merge branches: duplicate across two stages
+// on different GPUs, missing operator, unknown and negative IDs, and
+// empty stages.
 func TestValidateDuplicateAcrossGPUs(t *testing.T) {
 	g := graph.New(2, 0)
 	a := g.AddOp(graph.Op{Time: 1})
@@ -358,42 +357,22 @@ func TestValidateNegativeOperatorID(t *testing.T) {
 	}
 }
 
-func TestValidatePartialErrorPaths(t *testing.T) {
-	g := graph.New(3, 0)
+func TestValidateEmptyStage(t *testing.T) {
+	g := graph.New(1, 0)
 	a := g.AddOp(graph.Op{Time: 1})
-	g.AddOp(graph.Op{Time: 1})
-	g.AddOp(graph.Op{Time: 1})
 	g.MustFinalize()
 
-	// A subset is legal for the partial variant...
-	subset := New(2)
-	subset.Append(0, a)
-	if err := ValidatePartial(g, subset); err != nil {
-		t.Fatalf("ValidatePartial rejected a legal subset: %v", err)
-	}
-	// ...but the structural invariants still hold.
-	dup := New(2)
-	dup.Append(0, a)
-	dup.Append(1, a)
-	if err := ValidatePartial(g, dup); err == nil || !strings.Contains(err.Error(), "more than once") {
-		t.Fatalf("duplicate across GPUs: got %v", err)
-	}
-	unknown := New(1)
-	unknown.Append(0, graph.OpID(99))
-	if err := ValidatePartial(g, unknown); err == nil || !strings.Contains(err.Error(), "unknown operator") {
-		t.Fatalf("unknown operator: got %v", err)
-	}
-	empty := New(1)
-	empty.Append(0, a)
-	empty.GPUs[0].Stages = append(empty.GPUs[0].Stages, Stage{})
-	if err := ValidatePartial(g, empty); err == nil || !strings.Contains(err.Error(), "is empty") {
+	s := New(1)
+	s.Append(0, a)
+	s.GPUs[0].Stages = append(s.GPUs[0].Stages, Stage{})
+	if err := Validate(g, s); err == nil || !strings.Contains(err.Error(), "is empty") {
 		t.Fatalf("empty stage: got %v", err)
 	}
 }
 
-// EvaluatePartial must ignore dependencies whose endpoint is
-// unscheduled, and still reject ordering violations among the operators
-// that are scheduled.
+// Partial evaluation: LatencyFromPlacement must ignore dependencies
+// whose endpoint is unplaced (place < 0), as HIOS-LP's trial mappings of
+// a partial placement require.
 func TestEvaluatePartialDependencies(t *testing.T) {
 	g := graph.New(3, 2)
 	a := g.AddOp(graph.Op{Time: 1})
@@ -404,24 +383,17 @@ func TestEvaluatePartialDependencies(t *testing.T) {
 	g.MustFinalize()
 	m := cost.FromGraph(g, cost.DefaultContention())
 
-	// Only a and c scheduled: the a->b and b->c edges dangle and are
+	// Only a and c placed: the a->b and b->c edges dangle and are
 	// ignored, so the two operators run back to back without transfer
 	// lag on one GPU.
-	s := New(1)
-	s.Append(0, a)
-	s.Append(0, c)
-	lat, err := LatencyPartial(g, m, s)
+	place := make([]int, 3)
+	place[b] = -1
+	var e Evaluator
+	lat, err := e.LatencyFromPlacement(g, m, 1, g.ByPriority(), place)
 	if err != nil {
-		t.Fatalf("LatencyPartial: %v", err)
+		t.Fatalf("LatencyFromPlacement: %v", err)
 	}
 	if want := m.OpTime(a) + m.OpTime(c); !stats.ApproxEqual(float64(lat), float64(want), 0) {
 		t.Fatalf("partial latency %g, want %g", lat, want)
-	}
-
-	// A direct dependency inside one stage is rejected even partially.
-	bad := New(1)
-	bad.AppendStage(0, []graph.OpID{a, b})
-	if _, err := EvaluatePartial(g, m, bad); err == nil {
-		t.Fatal("EvaluatePartial accepted dependent operators in one stage")
 	}
 }

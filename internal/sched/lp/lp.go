@@ -1,7 +1,8 @@
-// Package lp implements HIOS-LP, the paper's headline algorithm
-// (Algorithm 1): hierarchical inter-operator scheduling based on iterative
-// longest-path mapping across GPUs, followed by sliding-window intra-GPU
-// parallelization (Algorithm 2, package window).
+// Package lp implements the inter-GPU mapping pass of HIOS-LP, the
+// paper's headline algorithm (Algorithm 1): iterative longest-path mapping
+// across GPUs. HIOS-LP is this pass followed by the shared sliding-window
+// intra-GPU pass (Algorithm 2, package window); internal/experiments.Run
+// composes the two.
 //
 // Spatial mapping: the algorithm repeatedly extracts the longest valid path
 // from the still-unscheduled part of the computation graph — valid meaning
@@ -24,44 +25,31 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
 )
 
-// Options configures HIOS-LP.
+// Options configures the LP mapping pass.
 type Options struct {
 	// GPUs is M, the number of homogeneous devices. Must be >= 1.
 	GPUs int
-	// Window is the maximum window size w of the intra-GPU pass.
-	// Zero selects window.DefaultSize.
-	Window int
-	// InterOnly skips Algorithm 2, yielding the "inter-GPU w/ LP" curve
-	// of the paper's figures.
-	InterOnly bool
 }
 
-// Validate reports whether the options are usable: at least one GPU and
-// a non-negative window.
+// Validate reports whether the options are usable: at least one GPU.
 func (o Options) Validate() error {
 	if o.GPUs < 1 {
 		return fmt.Errorf("lp: need at least 1 GPU, got %d", o.GPUs)
 	}
-	if o.Window < 0 {
-		return fmt.Errorf("lp: negative window %d", o.Window)
-	}
 	return nil
 }
 
-// Schedule runs HIOS-LP on g under cost model m.
+// Schedule runs the LP mapping pass on g under cost model m and returns
+// the inter-GPU schedule (one operator per stage): the "inter-GPU w/ LP"
+// curve of the paper's figures.
 //
 //lint:hotpath
 func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	if err := opt.Validate(); err != nil {
 		return sched.Result{}, err
-	}
-	w := opt.Window
-	if w == 0 {
-		w = window.DefaultSize
 	}
 	n := g.NumOps()
 	if n == 0 {
@@ -135,8 +123,5 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	if err != nil {
 		return sched.Result{}, err
 	}
-	if opt.InterOnly {
-		return sched.Result{Schedule: s, Latency: lat}, nil
-	}
-	return window.Parallelize(g, m, s, w)
+	return sched.Result{Schedule: s, Latency: lat}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/brute"
 	"github.com/shus-lab/hios/internal/sched/seq"
+	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -44,7 +45,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestSingleGPUInterOnlyEqualsSequential(t *testing.T) {
 	g := randdag.MustGenerate(smallCfg(2))
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := Schedule(g, m, Options{GPUs: 1, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestKeepsHeavyCommPathTogether(t *testing.T) {
 	g.AddEdge(c, d, 50)
 	g.MustFinalize()
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := Schedule(g, m, Options{GPUs: 2, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestFig4Structure(t *testing.T) {
 	g.MustFinalize()
 	m := cost.FromGraph(g, cost.DefaultContention())
 
-	res, err := Schedule(g, m, Options{GPUs: 2, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,15 +168,21 @@ func TestFig4Structure(t *testing.T) {
 	}
 }
 
+// TestReportedLatencyMatchesEvaluation checks the mapping pass and
+// HIOS-LP, the window pass over it.
 func TestReportedLatencyMatchesEvaluation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randdag.MustGenerate(smallCfg(seed))
 		m := cost.FromGraph(g, cost.DefaultContention())
-		for _, interOnly := range []bool{true, false} {
-			res, err := Schedule(g, m, Options{GPUs: 4, InterOnly: interOnly, Window: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+		inter, err := Schedule(g, m, Options{GPUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := window.Parallelize(g, m, inter.Schedule, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []sched.Result{inter, full} {
 			lat, err := sched.Latency(g, m, res.Schedule)
 			if err != nil {
 				t.Fatalf("returned schedule invalid: %v", err)
@@ -191,11 +198,11 @@ func TestWindowPassNeverHurts(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		g := randdag.MustGenerate(smallCfg(seed))
 		m := cost.FromGraph(g, cost.DefaultContention())
-		inter, err := Schedule(g, m, Options{GPUs: 3, InterOnly: true})
+		inter, err := Schedule(g, m, Options{GPUs: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Schedule(g, m, Options{GPUs: 3})
+		full, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +224,7 @@ func TestDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Latency != b.Latency || a.Schedule.String() != b.Schedule.String() {
-		t.Fatal("HIOS-LP is not deterministic")
+		t.Fatal("the LP mapping pass is not deterministic")
 	}
 }
 
@@ -231,7 +238,11 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 		g := randdag.MustGenerate(cfg)
 		m := cost.FromGraph(g, cost.DefaultContention())
 		gpus := 1 + rng.Intn(5)
-		res, err := Schedule(g, m, Options{GPUs: gpus, Window: 2 + rng.Intn(3)})
+		inter, err := Schedule(g, m, Options{GPUs: gpus})
+		if err != nil {
+			return false
+		}
+		res, err := window.Parallelize(g, m, inter.Schedule, 2+rng.Intn(3))
 		if err != nil {
 			return false
 		}
@@ -262,7 +273,7 @@ func TestNeverWorseThanBruteOnTiny(t *testing.T) {
 		cfg.Seed = seed
 		g := randdag.MustGenerate(cfg)
 		m := cost.FromGraph(g, cost.DefaultContention())
-		res, err := Schedule(g, m, Options{GPUs: 2, InterOnly: true})
+		res, err := Schedule(g, m, Options{GPUs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
-// Package mr implements HIOS-MR (Algorithm 3 of the HIOS paper):
-// mapping-recording-based operator scheduling across multiple GPUs,
-// followed by the same sliding-window intra-GPU pass as HIOS-LP.
+// Package mr implements the inter-GPU mapping pass of HIOS-MR (Algorithm
+// 3 of the HIOS paper): mapping-recording-based operator scheduling across
+// multiple GPUs. HIOS-MR is this pass followed by the same sliding-window
+// intra-GPU pass as HIOS-LP (Algorithm 3, line 27); internal/experiments.Run
+// composes the two.
 //
 // The algorithm walks the operators in descending-priority (topological)
 // order and fills an n×M table in which entry (i, j) records the earliest
@@ -25,43 +27,31 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
 )
 
-// Options configures HIOS-MR.
+// Options configures the MR mapping pass.
 type Options struct {
 	// GPUs is M, the number of homogeneous devices. Must be >= 1.
 	GPUs int
-	// Window is the maximum window size w of the intra-GPU pass.
-	// Zero selects window.DefaultSize.
-	Window int
-	// InterOnly skips Algorithm 2, yielding the "inter-GPU w/ MR" curve.
-	InterOnly bool
 }
 
-// Validate reports whether the options are usable: at least one GPU and
-// a non-negative window.
+// Validate reports whether the options are usable: at least one GPU.
 func (o Options) Validate() error {
 	if o.GPUs < 1 {
 		return fmt.Errorf("mr: need at least 1 GPU, got %d", o.GPUs)
 	}
-	if o.Window < 0 {
-		return fmt.Errorf("mr: negative window %d", o.Window)
-	}
 	return nil
 }
 
-// Schedule runs HIOS-MR on g under cost model m.
+// Schedule runs the MR mapping pass (Algorithm 3, lines 1–26) on g under
+// cost model m and returns the inter-GPU schedule (one operator per
+// stage): the "inter-GPU w/ MR" curve of the paper's figures.
 //
 //lint:hotpath
 func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	if err := opt.Validate(); err != nil {
 		return sched.Result{}, err
-	}
-	w := opt.Window
-	if w == 0 {
-		w = window.DefaultSize
 	}
 	n := g.NumOps()
 	M := opt.GPUs
@@ -175,9 +165,5 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	if err != nil {
 		return sched.Result{}, err
 	}
-	if opt.InterOnly {
-		return sched.Result{Schedule: s, Latency: lat}, nil
-	}
-	// Line 27: the shared intra-GPU parallelization pass.
-	return window.Parallelize(g, m, s, w)
+	return sched.Result{Schedule: s, Latency: lat}, nil
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/brute"
 	"github.com/shus-lab/hios/internal/sched/seq"
+	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -44,7 +45,7 @@ func TestEmptyGraph(t *testing.T) {
 func TestSingleGPUInterOnlyEqualsSequential(t *testing.T) {
 	g := randdag.MustGenerate(smallCfg(2))
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := Schedule(g, m, Options{GPUs: 1, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestFirstOpOnGPUOne(t *testing.T) {
 	// GPU 1.
 	g := randdag.MustGenerate(smallCfg(3))
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := Schedule(g, m, Options{GPUs: 4, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestIndependentOpsSpread(t *testing.T) {
 	g.AddEdge(2, 3, 0.1)
 	g.MustFinalize()
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := Schedule(g, m, Options{GPUs: 2, InterOnly: true})
+	res, err := Schedule(g, m, Options{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +95,21 @@ func TestIndependentOpsSpread(t *testing.T) {
 	}
 }
 
+// TestReportedLatencyMatchesEvaluation checks the mapping pass and
+// HIOS-MR, the window pass over it.
 func TestReportedLatencyMatchesEvaluation(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g := randdag.MustGenerate(smallCfg(seed))
 		m := cost.FromGraph(g, cost.DefaultContention())
-		for _, interOnly := range []bool{true, false} {
-			res, err := Schedule(g, m, Options{GPUs: 4, InterOnly: interOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
+		inter, err := Schedule(g, m, Options{GPUs: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []sched.Result{inter, full} {
 			lat, err := sched.Latency(g, m, res.Schedule)
 			if err != nil {
 				t.Fatalf("returned schedule invalid: %v", err)
@@ -120,7 +127,7 @@ func TestDeterministic(t *testing.T) {
 	a, _ := Schedule(g, m, Options{GPUs: 4})
 	b, _ := Schedule(g, m, Options{GPUs: 4})
 	if a.Latency != b.Latency || a.Schedule.String() != b.Schedule.String() {
-		t.Fatal("HIOS-MR is not deterministic")
+		t.Fatal("the MR mapping pass is not deterministic")
 	}
 }
 
@@ -134,7 +141,11 @@ func TestScheduleInvariantsProperty(t *testing.T) {
 		g := randdag.MustGenerate(cfg)
 		m := cost.FromGraph(g, cost.DefaultContention())
 		gpus := 1 + rng.Intn(5)
-		res, err := Schedule(g, m, Options{GPUs: gpus, Window: 2 + rng.Intn(3)})
+		inter, err := Schedule(g, m, Options{GPUs: gpus})
+		if err != nil {
+			return false
+		}
+		res, err := window.Parallelize(g, m, inter.Schedule, 2+rng.Intn(3))
 		if err != nil {
 			return false
 		}
@@ -163,7 +174,7 @@ func TestNeverBeatsBruteOnTiny(t *testing.T) {
 		cfg.Seed = seed
 		g := randdag.MustGenerate(cfg)
 		m := cost.FromGraph(g, cost.DefaultContention())
-		res, err := Schedule(g, m, Options{GPUs: 2, InterOnly: true})
+		res, err := Schedule(g, m, Options{GPUs: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

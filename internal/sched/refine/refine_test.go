@@ -8,6 +8,7 @@ import (
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/lp"
+	"github.com/shus-lab/hios/internal/sched/window"
 )
 
 func instance(seed int64) (*graph.Graph, cost.Model) {
@@ -44,7 +45,11 @@ func TestImprovesBadPlacement(t *testing.T) {
 func TestNeverWorseThanInput(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g, m := instance(seed)
-		full, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
+		inter, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +69,7 @@ func TestRefinesInterLP(t *testing.T) {
 	improvedAny := false
 	for seed := int64(1); seed <= 6; seed++ {
 		g, m := instance(seed)
-		inter, err := lp.Schedule(g, m, lp.Options{GPUs: 3, InterOnly: true})
+		inter, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

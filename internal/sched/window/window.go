@@ -22,37 +22,12 @@ import (
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/ios"
-	"github.com/shus-lab/hios/internal/units"
 )
 
 // DefaultSize is the default maximum window size w. The paper's examples
 // use w = 2; real CNN stages rarely benefit beyond 4 concurrent operators
 // on one device before contention dominates.
 const DefaultSize = 4
-
-// ParallelizeFixpoint repeats the Algorithm 2 pass until a full sweep
-// yields no further improvement (or maxRounds sweeps have run; 0 means
-// unlimited). The paper runs a single sweep; because each sweep is
-// monotone, iterating converges, and on wide graphs a second sweep
-// occasionally finds fusions enabled by the first sweep's reshuffled
-// stage positions.
-func ParallelizeFixpoint(g *graph.Graph, m cost.Model, s *sched.Schedule, w, maxRounds int) (sched.Result, error) {
-	cur, err := Parallelize(g, m, s, w)
-	if err != nil {
-		return sched.Result{}, err
-	}
-	for round := 1; maxRounds == 0 || round < maxRounds; round++ {
-		next, err := Parallelize(g, m, cur.Schedule, w)
-		if err != nil {
-			return sched.Result{}, err
-		}
-		if next.Latency >= cur.Latency-units.Millis(1e-12) {
-			return cur, nil
-		}
-		cur = next
-	}
-	return cur, nil
-}
 
 // Parallelize runs Algorithm 2 over schedule s and returns the improved
 // schedule and its latency. The input schedule is not modified. w is the
@@ -90,9 +65,6 @@ func Parallelize(g *graph.Graph, m cost.Model, s *sched.Schedule, w int) (sched.
 	for i := 0; i < len(order)-1; i++ {
 		v := order[i]
 		gi, si := gpuOf[v], stageOf[v]
-		if gi < 0 {
-			continue // unscheduled operator (partial schedules in tests)
-		}
 		stages := cur.GPUs[gi].Stages
 		if len(stages[si].Ops) > 1 {
 			// v has already been grouped into a concurrent stage;

@@ -209,53 +209,6 @@ func TestMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestFixpointNeverWorseThanSinglePass(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		cfg := randdag.Paper()
-		cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 40, 5, 70, seed
-		g := randdag.MustGenerate(cfg)
-		m := cost.FromGraph(g, cost.DefaultContention())
-		place := make([]int, cfg.Ops)
-		for i := range place {
-			place[i] = i % 2
-		}
-		s := sched.FromPlacement(2, g.ByPriority(), place)
-		one, err := Parallelize(g, m, s, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fix, err := ParallelizeFixpoint(g, m, s, 3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fix.Latency > one.Latency+1e-9 {
-			t.Fatalf("seed %d: fixpoint %g worse than one pass %g", seed, fix.Latency, one.Latency)
-		}
-		if err := sched.Validate(g, fix.Schedule); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestFixpointRespectsRoundLimit(t *testing.T) {
-	cfg := randdag.Paper()
-	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 30, 4, 50, 2
-	g := randdag.MustGenerate(cfg)
-	m := cost.FromGraph(g, cost.DefaultContention())
-	s := sched.Sequential(g.ByPriority())
-	one, err := Parallelize(g, m, s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim, err := ParallelizeFixpoint(g, m, s, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := lim.Latency - one.Latency; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("maxRounds=1 must equal a single pass: %g vs %g", lim.Latency, one.Latency)
-	}
-}
-
 func TestInputScheduleUntouched(t *testing.T) {
 	g := graph.New(2, 0)
 	g.AddOp(graph.Op{Time: 1, Util: 0.1})

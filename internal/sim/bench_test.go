@@ -6,6 +6,7 @@ import (
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched/lp"
+	"github.com/shus-lab/hios/internal/sched/window"
 )
 
 func BenchmarkSimulate200Ops4GPUs(b *testing.B) {
@@ -13,7 +14,11 @@ func BenchmarkSimulate200Ops4GPUs(b *testing.B) {
 	cfg.Seed = 5
 	g := randdag.MustGenerate(cfg)
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := lp.Schedule(g, m, lp.Options{GPUs: 4})
+	inter, err := lp.Schedule(g, m, lp.Options{GPUs: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/mr"
+	"github.com/shus-lab/hios/internal/sched/window"
 )
 
 func TestSimpleCrossGPUTransfer(t *testing.T) {
@@ -102,21 +103,27 @@ func TestMatchesEvaluator(t *testing.T) {
 		gpus := 1 + rng.Intn(4)
 
 		var s *sched.Schedule
-		switch rng.Intn(3) {
+		switch kind := rng.Intn(3); kind {
 		case 0:
 			place := make([]int, cfg.Ops)
 			for i := range place {
 				place[i] = rng.Intn(gpus)
 			}
 			s = sched.FromPlacement(gpus, g.ByPriority(), place)
-		case 1:
-			res, err := lp.Schedule(g, m, lp.Options{GPUs: gpus})
+		default:
+			// HIOS-LP (kind 1) or HIOS-MR: the sliding-window pass
+			// over the inter-GPU mapping.
+			var inter sched.Result
+			var err error
+			if kind == 1 {
+				inter, err = lp.Schedule(g, m, lp.Options{GPUs: gpus})
+			} else {
+				inter, err = mr.Schedule(g, m, mr.Options{GPUs: gpus})
+			}
 			if err != nil {
 				return false
 			}
-			s = res.Schedule
-		default:
-			res, err := mr.Schedule(g, m, mr.Options{GPUs: gpus})
+			res, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 			if err != nil {
 				return false
 			}
@@ -144,7 +151,11 @@ func TestStageRecordsCoverAllOps(t *testing.T) {
 	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 30, 5, 60, 3
 	g := randdag.MustGenerate(cfg)
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
+	inter, err := lp.Schedule(g, m, lp.Options{GPUs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := window.Parallelize(g, m, inter.Schedule, window.DefaultSize)
 	if err != nil {
 		t.Fatal(err)
 	}

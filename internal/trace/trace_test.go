@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sim"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -20,7 +20,7 @@ func fixture(t *testing.T) (*graph.Graph, cost.Model, *sched.Schedule, units.Mil
 	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 20, 4, 40, 7
 	g := randdag.MustGenerate(cfg)
 	m := cost.FromGraph(g, cost.DefaultContention())
-	res, err := lp.Schedule(g, m, lp.Options{GPUs: 2})
+	res, err := experiments.Run(experiments.AlgoHIOSLP, g, m, experiments.RunConfig{GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,8 +92,8 @@ func TestDatasheetConstructorsExact(t *testing.T) {
 }
 
 // TestAuditedUnitChains pins the cross-layer unit chains the dimensional
-// audit walked (DESIGN.md §8): link bandwidth, the schedule-improvement
-// epsilon, and the pipeline throughput inversion. Each was confirmed
+// audit walked (DESIGN.md §8): link bandwidth and the pipeline
+// throughput inversion. Each was confirmed
 // correct; these assertions keep them that way.
 func TestAuditedUnitChains(t *testing.T) {
 	// The NVLink bridge moves exactly 56.25e6 bytes per millisecond at
@@ -101,12 +101,6 @@ func TestAuditedUnitChains(t *testing.T) {
 	// every transfer time in Fig. 2/7-11 shifts.
 	if got := Bytes(56.25e6).Over(GBPerSec(56.25)).Millis(); got != 1.0 {
 		t.Errorf("56.25e6 B over 56.25 GB/s = %v ms, want exactly 1", float64(got))
-	}
-	// The fixpoint termination epsilon in sched/window is 1e-12 ms; the
-	// typed constant must be the identical float64, or the round count —
-	// and therefore the schedules — of ParallelizeFixpoint could change.
-	if float64(Millis(1e-12)) != 1e-12 {
-		t.Error("Millis(1e-12) is not the raw 1e-12 epsilon")
 	}
 	// Pipeline throughput inverts a period in ms to requests per second
 	// as 1000/period; the typed path must agree with the raw runtime
