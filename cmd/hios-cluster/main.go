@@ -190,14 +190,11 @@ func main() {
 func buildDeployment(name string, size int, algo string, gpus, window int) (hios.ClusterDeployment, error) {
 	dep := hios.ClusterDeployment{Name: name}
 	for _, p := range hios.ClusterPresets() {
-		net, err := buildNet(name, p.Platform, size)
+		net, err := hios.BuildNet(name, p.Platform, size)
 		if err != nil {
 			return dep, err
 		}
-		m, err := hios.CachedCostModel(net)
-		if err != nil {
-			return dep, fmt.Errorf("%s: %w", p.Key, err)
-		}
+		m := hios.DefaultCostModel(net.G)
 		sopt := hios.Options{GPUs: gpus, Window: window}
 		if err := sopt.Validate(hios.Algorithm(algo)); err != nil {
 			return dep, err
@@ -213,33 +210,6 @@ func buildDeployment(name string, size int, algo string, gpus, window int) (hios
 		dep.Profiles = append(dep.Profiles, hios.ClusterProfileOf(p.Key, sm))
 	}
 	return dep, nil
-}
-
-func buildNet(name string, p hios.Platform, size int) (*hios.Net, error) {
-	switch name {
-	case "inception":
-		if size == 0 {
-			size = 299
-		}
-		return hios.InceptionV3(p, size), nil
-	case "nasnet":
-		if size == 0 {
-			size = 331
-		}
-		return hios.NASNetA(p, size), nil
-	case "squeezenet":
-		if size == 0 {
-			size = 224
-		}
-		return hios.SqueezeNet(p, size), nil
-	case "resnet50":
-		if size == 0 {
-			size = 224
-		}
-		return hios.ResNet50(p, size), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q (want inception, nasnet, squeezenet or resnet50)", name)
-	}
 }
 
 // defaultFleet cycles the platform presets over n nodes, the same shape

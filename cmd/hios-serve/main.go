@@ -215,30 +215,6 @@ func parseLoads(s string) ([]float64, error) {
 
 func buildModel(name string, size, ops, layers, deps int, p float64, seed int64) (*hios.Graph, string, error) {
 	switch name {
-	case "inception":
-		if size == 0 {
-			size = 299
-		}
-		net := hios.InceptionV3(hios.DualA40(), size)
-		return net.G, net.Name, nil
-	case "nasnet":
-		if size == 0 {
-			size = 331
-		}
-		net := hios.NASNetA(hios.DualA40(), size)
-		return net.G, net.Name, nil
-	case "squeezenet":
-		if size == 0 {
-			size = 224
-		}
-		net := hios.SqueezeNet(hios.DualA40(), size)
-		return net.G, net.Name, nil
-	case "resnet50":
-		if size == 0 {
-			size = 224
-		}
-		net := hios.ResNet50(hios.DualA40(), size)
-		return net.G, net.Name, nil
 	case "randwire":
 		cfg := hios.DefaultRandWire()
 		if size != 0 {
@@ -259,7 +235,11 @@ func buildModel(name string, size, ops, layers, deps int, p float64, seed int64)
 		}
 		return g, fmt.Sprintf("random-%d-%d-%d", ops, layers, deps), nil
 	default:
-		return nil, "", fmt.Errorf("unknown model %q (want inception, nasnet, squeezenet, resnet50, randwire or random)", name)
+		net, err := hios.BuildNet(name, hios.DualA40(), size)
+		if err != nil {
+			return nil, "", err
+		}
+		return net.G, net.Name, nil
 	}
 }
 

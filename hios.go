@@ -337,13 +337,11 @@ func SharedBlockCacheStats() BlockCacheStats { return dpcache.Shared().Stats() }
 // depend on the cache's state — only cold-path timings do.
 func ResetSharedBlockCache() { dpcache.Shared().Reset() }
 
-// CachedCostModel prices a built net straight from its per-operator
-// kernel shapes through the shared kernel-signature cache, with the
-// calibrated contention model. It is bit-identical to DefaultCostModel
-// on the net's graph — the graph weights are those same cached values —
-// but shares every probe with all other nets in the process.
+// CachedCostModel prices a built net. The builder baked the shared
+// kernel-signature cache's values into the net's graph weights, so this
+// is DefaultCostModel on the net's graph; the error is always nil.
 func CachedCostModel(n *Net) (CostModel, error) {
-	return n.CachedModel(cost.DefaultContention())
+	return DefaultCostModel(n.G), nil
 }
 
 // Evaluate computes the timing of a complete schedule under the paper's
@@ -435,6 +433,31 @@ func SqueezeNet(p Platform, inputSize int) *Net {
 // exploit.
 func ResNet50(p Platform, inputSize int) *Net {
 	return model.ResNet50(p.Dev, p.Link, inputSize)
+}
+
+// BuildNet builds a CNN benchmark by name — inception, nasnet,
+// squeezenet or resnet50 — on the platform. Size 0 selects the model's
+// default input size: 299 for Inception-v3, 331 for NASNet-A and 224
+// otherwise.
+func BuildNet(name string, p Platform, size int) (*Net, error) {
+	var build func(Platform, int) *Net
+	def := 224
+	switch name {
+	case "inception":
+		build, def = InceptionV3, 299
+	case "nasnet":
+		build, def = NASNetA, 331
+	case "squeezenet":
+		build = SqueezeNet
+	case "resnet50":
+		build = ResNet50
+	default:
+		return nil, fmt.Errorf("unknown model %q (want inception, nasnet, squeezenet or resnet50)", name)
+	}
+	if size == 0 {
+		size = def
+	}
+	return build(p, size), nil
 }
 
 // RandWireNet builds a randomly wired CNN (Xie et al., ICCV 2019), the

@@ -166,6 +166,36 @@ func TestBenchmarkBuilders(t *testing.T) {
 	}
 }
 
+// TestBuildNet checks that every model name builds the net of its
+// builder at the default size when size is 0, honours an explicit size,
+// and that an unknown name is an error.
+func TestBuildNet(t *testing.T) {
+	p := hios.DualA40()
+	for _, c := range []struct {
+		name string
+		want *hios.Net
+	}{
+		{"inception", hios.InceptionV3(p, 299)},
+		{"nasnet", hios.NASNetA(p, 331)},
+		{"squeezenet", hios.SqueezeNet(p, 224)},
+		{"resnet50", hios.ResNet50(p, 224)},
+	} {
+		net, err := hios.BuildNet(c.name, p, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if net.Name != c.want.Name || net.G.NumOps() != c.want.G.NumOps() {
+			t.Errorf("%s: built %s (%d ops), want %s (%d ops)", c.name, net.Name, net.G.NumOps(), c.want.Name, c.want.G.NumOps())
+		}
+	}
+	if net, err := hios.BuildNet("squeezenet", p, 160); err != nil || net.Name != hios.SqueezeNet(p, 160).Name {
+		t.Errorf("squeezenet@160: %v", err)
+	}
+	if _, err := hios.BuildNet("vgg", p, 0); err == nil || !strings.Contains(err.Error(), `unknown model "vgg"`) {
+		t.Errorf("unknown model: err = %v", err)
+	}
+}
+
 func TestMemoryFacade(t *testing.T) {
 	net := hios.InceptionV3(hios.DualA40(), 299)
 	m := hios.DefaultCostModel(net.G)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
@@ -85,8 +86,8 @@ func (o FleetSweepOptions) Validate() error {
 	if o.Seeds < 0 || o.Requests < 0 || o.Replicas < 0 || o.GPUs < 0 || o.Window < 0 || o.InputSize < 0 || o.Workers < 0 {
 		return fmt.Errorf("experiments: negative fleet-sweep option: %+v", o)
 	}
-	if o.Load < 0 {
-		return fmt.Errorf("experiments: negative fleet-sweep load %g", o.Load)
+	if !(o.Load >= 0) || math.IsInf(o.Load, 1) {
+		return fmt.Errorf("experiments: fleet-sweep load %g, want a finite value >= 0", o.Load)
 	}
 	for i, n := range o.Sizes {
 		if n <= 0 {
@@ -110,10 +111,7 @@ func fleetProfiles(opt FleetSweepOptions) ([]cluster.Profile, error) {
 	var profs []cluster.Profile
 	for _, p := range cluster.Presets() {
 		net := model.SqueezeNet(p.Platform.Dev, p.Platform.Link, opt.InputSize)
-		cm, err := net.CachedModel(cost.DefaultContention())
-		if err != nil {
-			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)
-		}
+		cm := cost.FromGraph(net.G, cost.DefaultContention())
 		res, err := Run(AlgoHIOSLP, net.G, cm, RunConfig{GPUs: opt.GPUs, Window: opt.Window})
 		if err != nil {
 			return nil, fmt.Errorf("AttainmentVsFleet: %s: %w", p.Key, err)

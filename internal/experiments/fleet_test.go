@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -96,6 +97,8 @@ func TestFleetSweepOptionsValidate(t *testing.T) {
 		{Seeds: -1},
 		{Requests: -1},
 		{Load: -0.5},
+		{Load: math.NaN()},
+		{Load: math.Inf(1)},
 		{Replicas: -1},
 		{GPUs: -2},
 		{Window: -1},

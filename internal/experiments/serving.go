@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/shus-lab/hios/internal/cluster"
 	"github.com/shus-lab/hios/internal/cost"
@@ -79,12 +80,12 @@ func (o ServeSweepOptions) Validate() error {
 	if o.Seeds < 0 || o.GPUs < 0 || o.GPUBudget < 0 || o.Window < 0 || o.Workers < 0 || o.Ops < 0 {
 		return fmt.Errorf("experiments: negative serve-sweep option: %+v", o)
 	}
-	if o.Horizon < 0 {
-		return fmt.Errorf("experiments: negative serve-sweep horizon %g", float64(o.Horizon))
+	if h := float64(o.Horizon); !(h >= 0) || math.IsInf(h, 1) {
+		return fmt.Errorf("experiments: serve-sweep horizon %g, want a finite value >= 0", h)
 	}
 	for i, l := range o.Loads {
-		if l <= 0 {
-			return fmt.Errorf("experiments: load point %d is %g, want > 0", i, l)
+		if !(l > 0) || math.IsInf(l, 1) {
+			return fmt.Errorf("experiments: load point %d is %g, want a finite value > 0", i, l)
 		}
 	}
 	return nil

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/shus-lab/hios/internal/units"
 )
 
 // fastServe is the sweep configuration the serving tests pin: a smaller
@@ -101,8 +104,12 @@ func TestServeSweepOptionsValidate(t *testing.T) {
 		{Workers: -3},
 		{Ops: -10},
 		{Horizon: -5},
+		{Horizon: units.Millis(math.NaN())},
+		{Horizon: units.Millis(math.Inf(1))},
 		{Loads: []float64{0.5, 0}},
 		{Loads: []float64{-1}},
+		{Loads: []float64{math.NaN()}},
+		{Loads: []float64{math.Inf(1)}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

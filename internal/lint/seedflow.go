@@ -11,8 +11,8 @@ import (
 
 // SeedFlow extends the detclock idea from clocks to randomness: every
 // RNG in the module must flow from an explicit seed through the
-// splitmix64 seed-stream helpers of internal/stats (MixSeed /
-// SeedStream). Module-wide, in non-test files, it reports:
+// splitmix64 seed mixer of internal/stats (MixSeed). Module-wide, in
+// non-test files, it reports:
 //
 //  1. calls to the package-global math/rand and math/rand/v2 generators
 //     (rand.Intn, rand.Float64, ...) — the global state is shared,
@@ -88,7 +88,7 @@ func runSeedFlow(pass *analysis.Pass) error {
 				}
 				v, err := strconv.ParseUint(n.Value, 0, 64)
 				if err == nil && splitmixConstants[v] && !pass.Suppressed("seedflow", n.Pos()) {
-					pass.Reportf(n.Pos(), "splitmix64 constant outside internal/stats: use stats.MixSeed / stats.SeedStream instead of hand-rolled seed mixing")
+					pass.Reportf(n.Pos(), "splitmix64 constant outside internal/stats: use stats.MixSeed instead of hand-rolled seed mixing")
 				}
 			}
 			return true

@@ -12,7 +12,6 @@ package model
 import (
 	"fmt"
 
-	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
@@ -234,19 +233,6 @@ func (b *Builder) Build() (*Net, error) {
 		return nil, err
 	}
 	return &Net{Name: b.name, G: b.g, Shapes: b.shapes, Kernels: b.kernels, Dev: b.dev, Link: b.link}, nil
-}
-
-// CachedModel returns a cost.Model pricing the net straight from its
-// kernel shapes through the process-wide shape cache. It is bit-identical
-// to cost.FromGraph(n.G, ct) for any ct matching the build configuration
-// — the graph weights ARE the cached values — but shares every probe
-// with other nets in the process.
-func (n *Net) CachedModel(ct cost.Contention) (cost.Model, error) {
-	out := make([]units.Bytes, len(n.Shapes))
-	for i, sh := range n.Shapes {
-		out[i] = units.Bytes(sh.Bytes())
-	}
-	return costcache.NewKernelModel(costcache.Shared(), n.G, n.Dev, n.Link, n.Kernels, out, ct)
 }
 
 // MustBuild is Build that panics on error; architecture builders are

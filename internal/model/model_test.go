@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/gpu"
+	"github.com/shus-lab/hios/internal/graph"
 )
 
 func TestTensorAccounting(t *testing.T) {
@@ -199,5 +200,32 @@ func TestDifferentDevicesDifferentTimes(t *testing.T) {
 	if a40.G.TotalOpTime() >= v100.G.TotalOpTime() {
 		t.Fatalf("A40 (%g ms) should be faster than V100S (%g ms)",
 			a40.G.TotalOpTime(), v100.G.TotalOpTime())
+	}
+}
+
+// TestBuilderCacheStability: building the same net twice yields
+// byte-identical graph weights — the second build is served almost
+// entirely from the shared cache, and cached values must not drift.
+func TestBuilderCacheStability(t *testing.T) {
+	a := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+	b := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
+	if a.G.NumOps() != b.G.NumOps() {
+		t.Fatalf("op counts differ: %d vs %d", a.G.NumOps(), b.G.NumOps())
+	}
+	for v := range a.G.Ops() {
+		oa, ob := a.G.Op(graph.OpID(v)), b.G.Op(graph.OpID(v))
+		if oa.Time != ob.Time || oa.Util != ob.Util { //lint:floatexact
+			t.Fatalf("op %d weights drifted across rebuilds: (%v,%v) vs (%v,%v)",
+				v, oa.Time, oa.Util, ob.Time, ob.Util)
+		}
+	}
+	ea, eb := a.G.Edges(), b.G.Edges()
+	if len(ea) != len(eb) {
+		t.Fatalf("edge counts differ: %d vs %d", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i].Time != eb[i].Time { //lint:floatexact
+			t.Fatalf("edge %d transfer drifted: %v vs %v", i, ea[i].Time, eb[i].Time)
+		}
 	}
 }

@@ -1,17 +1,18 @@
 // Package mpi is an in-process stand-in for the CUDA-aware MPI layer the
 // paper's HIOS engine uses for inter-GPU tensor transfers. A Comm spans a
 // fixed number of ranks (one per simulated GPU worker); ranks exchange
-// tagged float32 tensors through mailboxes, with an optional link model
-// injecting per-message transfer delay so the executor experiences the
-// same communication/computation overlap structure the real system does.
+// tagged float32 tensors through mailboxes, each send carrying the
+// transfer delay the caller charges for it, so the executor experiences
+// the same communication/computation overlap structure the real system
+// does.
 //
 // Semantics mirror the MPI subset HIOS needs: point-to-point tagged
 // send/receive (MPI_Send/MPI_Recv with CUDA device pointers in the
-// original) and a barrier. Sends are asynchronous (buffered); receives
-// block until the matching message has fully "arrived" under the link
-// model. The package never reads wall-clock time itself — the detclock
-// invariant holds here too — so delay modeling requires the caller to
-// inject a Clock; without one, delivery is instant and deterministic.
+// original). Sends are asynchronous (buffered); receives block until the
+// matching message has fully "arrived" after its delay. The package never
+// reads wall-clock time itself — the detclock invariant holds here too —
+// so delayed sends require the caller to inject a Clock; without one,
+// delivery is instant and deterministic.
 package mpi
 
 import (
@@ -20,11 +21,7 @@ import (
 	"time"
 )
 
-// DelayFunc maps a message size in bytes to a simulated transfer delay.
-// A nil DelayFunc means instant delivery.
-type DelayFunc func(bytes int) time.Duration
-
-// Clock supplies the wall-clock operations the link model runs on. The
+// Clock supplies the wall-clock operations delayed sends run on. The
 // package itself never reads time — delay modeling engages only when
 // the measurement layer injects real clock functions (internal/runtime
 // passes time.Now and time.Sleep, the one place wall-clock is legal).
@@ -41,16 +38,10 @@ func (c Clock) set() bool { return c.Now != nil && c.Sleep != nil }
 // Comm is a communicator over a fixed set of ranks.
 type Comm struct {
 	size  int
-	delay DelayFunc
 	clock Clock
 
 	mu    sync.Mutex
 	boxes map[boxKey]chan envelope
-
-	barrierMu   sync.Mutex
-	barrierCond *sync.Cond
-	barrierGen  int
-	barrierIn   int
 
 	sent, received int64
 	bytesMoved     int64
@@ -65,27 +56,18 @@ type envelope struct {
 	readyAt time.Time
 }
 
-// NewComm creates a communicator with the given number of ranks, link
-// delay model and clock. A link model without a clock cannot apply its
-// delays, and a half-set clock can compute a deadline it cannot sleep
-// to, so both are rejected up front.
-func NewComm(size int, delay DelayFunc, clock Clock) (*Comm, error) {
+// NewComm creates a communicator with the given number of ranks and
+// clock. A half-set clock can compute a deadline it cannot sleep to, so
+// it is rejected up front.
+func NewComm(size int, clock Clock) (*Comm, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpi: communicator needs at least 1 rank, got %d", size)
 	}
 	if (clock.Now != nil) != (clock.Sleep != nil) {
 		return nil, fmt.Errorf("mpi: clock must set both Now and Sleep, or neither")
 	}
-	if delay != nil && !clock.set() {
-		return nil, fmt.Errorf("mpi: a link delay model needs a clock")
-	}
-	c := &Comm{size: size, delay: delay, clock: clock, boxes: make(map[boxKey]chan envelope)}
-	c.barrierCond = sync.NewCond(&c.barrierMu)
-	return c, nil
+	return &Comm{size: size, clock: clock, boxes: make(map[boxKey]chan envelope)}, nil
 }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
 
 // Rank returns the handle for rank i.
 func (c *Comm) Rank(i int) (*Rank, error) {
@@ -122,25 +104,13 @@ type Rank struct {
 	comm *Comm
 }
 
-// ID returns the rank index.
-func (r *Rank) ID() int { return r.id }
-
-// Send delivers data to rank dst under the given tag. The payload is
-// copied, so the caller may reuse its buffer. Send does not block on the
-// receiver (buffered mailbox); it returns an error for invalid ranks.
-func (r *Rank) Send(dst, tag int, data []float32) error {
-	var d time.Duration
-	if r.comm.delay != nil {
-		d = r.comm.delay(4 * len(data))
-	}
-	return r.SendDelayed(dst, tag, data, d)
-}
-
-// SendDelayed is Send with an explicit transfer delay, overriding the
-// communicator's link model. The executor uses it to charge the cost
-// model's per-edge transfer time instead of a bytes-based estimate.
-// A positive delay requires the communicator to have a Clock.
-func (r *Rank) SendDelayed(dst, tag int, data []float32, delay time.Duration) error {
+// Send delivers data to rank dst under the given tag, arriving delay
+// after the send; the executor charges the cost model's per-edge
+// transfer time. A positive delay requires the communicator to have a
+// Clock. The payload is copied, so the caller may reuse its buffer. Send
+// does not block on the receiver (buffered mailbox); it returns an error
+// for invalid ranks.
+func (r *Rank) Send(dst, tag int, data []float32, delay time.Duration) error {
 	if dst < 0 || dst >= r.comm.size {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
 	}
@@ -172,8 +142,8 @@ func (r *Rank) SendDelayed(dst, tag int, data []float32, delay time.Duration) er
 }
 
 // Recv blocks until the message from rank src with the given tag arrives
-// (send order per (src, dst, tag) is preserved) and the link-model delay
-// has elapsed, then returns the payload.
+// (send order per (src, dst, tag) is preserved) and its delay has
+// elapsed, then returns the payload.
 func (r *Rank) Recv(src, tag int) ([]float32, error) {
 	if src < 0 || src >= r.comm.size {
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
@@ -191,23 +161,4 @@ func (r *Rank) Recv(src, tag int) ([]float32, error) {
 	r.comm.received++
 	r.comm.mu.Unlock()
 	return env.data, nil
-}
-
-// Barrier blocks until every rank has entered it. Standard generation-
-// counted barrier; safe for repeated use.
-func (r *Rank) Barrier() {
-	c := r.comm
-	c.barrierMu.Lock()
-	gen := c.barrierGen
-	c.barrierIn++
-	if c.barrierIn == c.size {
-		c.barrierIn = 0
-		c.barrierGen++
-		c.barrierCond.Broadcast()
-	} else {
-		for gen == c.barrierGen {
-			c.barrierCond.Wait()
-		}
-	}
-	c.barrierMu.Unlock()
 }

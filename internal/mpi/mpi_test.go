@@ -7,14 +7,14 @@ import (
 )
 
 func TestSendRecvRoundTrip(t *testing.T) {
-	c, err := NewComm(2, nil, Clock{})
+	c, err := NewComm(2, Clock{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r0, _ := c.Rank(0)
 	r1, _ := c.Rank(1)
 	payload := []float32{1, 2, 3}
-	if err := r0.Send(1, 7, payload); err != nil {
+	if err := r0.Send(1, 7, payload, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := r1.Recv(0, 7)
@@ -36,13 +36,13 @@ func TestSendRecvRoundTrip(t *testing.T) {
 }
 
 func TestTagsIsolateMessages(t *testing.T) {
-	c, _ := NewComm(2, nil, Clock{})
+	c, _ := NewComm(2, Clock{})
 	r0, _ := c.Rank(0)
 	r1, _ := c.Rank(1)
-	if err := r0.Send(1, 1, []float32{1}); err != nil {
+	if err := r0.Send(1, 1, []float32{1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := r0.Send(1, 2, []float32{2}); err != nil {
+	if err := r0.Send(1, 2, []float32{2}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Receive in the opposite order of sending.
@@ -57,7 +57,7 @@ func TestTagsIsolateMessages(t *testing.T) {
 }
 
 func TestRecvBlocksUntilSend(t *testing.T) {
-	c, _ := NewComm(2, nil, Clock{})
+	c, _ := NewComm(2, Clock{})
 	r0, _ := c.Rank(0)
 	r1, _ := c.Rank(1)
 	done := make(chan []float32)
@@ -70,7 +70,7 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 		t.Fatal("Recv returned before Send")
 	case <-time.After(10 * time.Millisecond):
 	}
-	if err := r0.Send(1, 3, []float32{42}); err != nil {
+	if err := r0.Send(1, 3, []float32{42}, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -88,12 +88,12 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 func wallClock() Clock { return Clock{Now: time.Now, Sleep: time.Sleep} }
 
 func TestDelayedDelivery(t *testing.T) {
-	c, _ := NewComm(2, nil, wallClock())
+	c, _ := NewComm(2, wallClock())
 	r0, _ := c.Rank(0)
 	r1, _ := c.Rank(1)
 	const delay = 30 * time.Millisecond
 	start := time.Now()
-	if err := r0.SendDelayed(1, 0, []float32{1}, delay); err != nil {
+	if err := r0.Send(1, 0, []float32{1}, delay); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r1.Recv(0, 0); err != nil {
@@ -104,41 +104,20 @@ func TestDelayedDelivery(t *testing.T) {
 	}
 }
 
-func TestLinkModelDelay(t *testing.T) {
-	c, _ := NewComm(2, func(bytes int) time.Duration {
-		return time.Duration(bytes) * time.Millisecond // 1 ms per byte
-	}, wallClock())
-	r0, _ := c.Rank(0)
-	r1, _ := c.Rank(1)
-	start := time.Now()
-	if err := r0.Send(1, 0, []float32{1, 2, 3, 4, 5}); err != nil { // 20 bytes
-		t.Fatal(err)
-	}
-	if _, err := r1.Recv(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("link model not applied: %v", elapsed)
-	}
-}
-
 // A communicator without a clock delivers instantly and refuses any
-// request that needs one: delayed sends, link models, half-set clocks.
+// request that needs one: delayed sends and half-set clocks.
 func TestClocklessSemantics(t *testing.T) {
-	if _, err := NewComm(2, nil, Clock{Now: time.Now}); err == nil {
+	if _, err := NewComm(2, Clock{Now: time.Now}); err == nil {
 		t.Fatal("accepted a clock with Now but no Sleep")
 	}
-	if _, err := NewComm(2, func(int) time.Duration { return time.Second }, Clock{}); err == nil {
-		t.Fatal("accepted a link delay model without a clock")
-	}
-	c, _ := NewComm(2, nil, Clock{})
+	c, _ := NewComm(2, Clock{})
 	r0, _ := c.Rank(0)
 	r1, _ := c.Rank(1)
-	if err := r0.SendDelayed(1, 0, []float32{1}, time.Second); err == nil {
+	if err := r0.Send(1, 0, []float32{1}, time.Second); err == nil {
 		t.Fatal("accepted a delayed send without a clock")
 	}
 	// Zero-delay sends stay legal and deliver immediately.
-	if err := r0.SendDelayed(1, 0, []float32{7}, 0); err != nil {
+	if err := r0.Send(1, 0, []float32{7}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := r1.Recv(0, 0); err != nil || v[0] != 7 {
@@ -147,18 +126,18 @@ func TestClocklessSemantics(t *testing.T) {
 }
 
 func TestInvalidRanks(t *testing.T) {
-	if _, err := NewComm(0, nil, Clock{}); err == nil {
+	if _, err := NewComm(0, Clock{}); err == nil {
 		t.Fatal("accepted empty communicator")
 	}
-	c, _ := NewComm(2, nil, Clock{})
+	c, _ := NewComm(2, Clock{})
 	if _, err := c.Rank(5); err == nil {
 		t.Fatal("accepted out-of-range rank")
 	}
 	r0, _ := c.Rank(0)
-	if err := r0.Send(5, 0, nil); err == nil {
+	if err := r0.Send(5, 0, nil, 0); err == nil {
 		t.Fatal("accepted send to invalid rank")
 	}
-	if err := r0.Send(0, 0, nil); err == nil {
+	if err := r0.Send(0, 0, nil, 0); err == nil {
 		t.Fatal("accepted send to self")
 	}
 	if _, err := r0.Recv(9, 0); err == nil {
@@ -166,42 +145,10 @@ func TestInvalidRanks(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	const n = 4
-	c, _ := NewComm(n, nil, Clock{})
-	var phase [n]int32
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, _ := c.Rank(i)
-			for round := 0; round < 3; round++ {
-				mu.Lock()
-				phase[i]++
-				mu.Unlock()
-				r.Barrier()
-				// After the barrier, every rank must have
-				// completed this round.
-				mu.Lock()
-				for j := 0; j < n; j++ {
-					if int(phase[j]) < round+1 {
-						t.Errorf("rank %d saw rank %d at phase %d in round %d", i, j, phase[j], round)
-					}
-				}
-				mu.Unlock()
-				r.Barrier()
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 func TestManyConcurrentMessages(t *testing.T) {
 	const ranks = 4
 	const msgs = 200
-	c, _ := NewComm(ranks, nil, Clock{})
+	c, _ := NewComm(ranks, Clock{})
 	var wg sync.WaitGroup
 	for src := 0; src < ranks; src++ {
 		for dst := 0; dst < ranks; dst++ {
@@ -213,7 +160,7 @@ func TestManyConcurrentMessages(t *testing.T) {
 				defer wg.Done()
 				r, _ := c.Rank(src)
 				for k := 0; k < msgs; k++ {
-					if err := r.Send(dst, k, []float32{float32(src*1000 + k)}); err != nil {
+					if err := r.Send(dst, k, []float32{float32(src*1000 + k)}, 0); err != nil {
 						t.Error(err)
 						return
 					}

@@ -20,7 +20,6 @@ import (
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
-	"github.com/shus-lab/hios/internal/kernels"
 	"github.com/shus-lab/hios/internal/mpi"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sim"
@@ -129,7 +128,7 @@ func Run(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Report,
 
 	// The executor is the measurement layer: wall-clock is legal here,
 	// and injecting it keeps mpi itself inside the detclock invariant.
-	comm, err := mpi.NewComm(len(s.GPUs), nil, mpi.Clock{Now: time.Now, Sleep: time.Sleep})
+	comm, err := mpi.NewComm(len(s.GPUs), mpi.Clock{Now: time.Now, Sleep: time.Sleep})
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +211,7 @@ func runWorker(g *graph.Graph, m cost.Model, s *sched.Schedule, gi int, comm *mp
 			go func(i int, op graph.OpID) {
 				defer sg.Done()
 				work := int(g.Op(op).Time * float64(opt.WorkPerMs))
-				outs[i] = kernels.Synth(int64(op), inputs[i], work)
+				outs[i] = synth(int64(op), inputs[i], work)
 			}(i, op)
 		}
 		sg.Wait()
@@ -238,7 +237,7 @@ func runWorker(g *graph.Graph, m cost.Model, s *sched.Schedule, gi int, comm *mp
 				// Wall-clock calibration boundary: modeled ms ×
 				// (wall time per modeled ms) leaves the unit system.
 				delay := time.Duration(float64(maxCommTo(g, m, gpuOf, op, dst)) * float64(opt.CommDelay))
-				if err := rank.SendDelayed(dst, int(op), outs[i], delay); err != nil {
+				if err := rank.Send(dst, int(op), outs[i], delay); err != nil {
 					return err
 				}
 			}
@@ -298,7 +297,7 @@ func Reference(g *graph.Graph, opt Options) map[graph.OpID][]float32 {
 			ins = append(ins, out[u])
 		})
 		work := int(g.Op(op).Time * float64(opt.WorkPerMs))
-		out[op] = kernels.Synth(int64(op), ins, work)
+		out[op] = synth(int64(op), ins, work)
 	}
 	return out
 }

@@ -117,13 +117,6 @@ func (h eventHeap) down(i int) {
 	}
 }
 
-func (h eventHeap) Peek() (event, bool) {
-	if len(h) == 0 {
-		return event{}, false
-	}
-	return h[0], true
-}
-
 // Options controls simulation fidelity.
 type Options struct {
 	// SerializeLinks models each directed GPU pair's interconnect as a

@@ -7,12 +7,14 @@
 // grammar: parsing, the error vocabulary ("unknown tenant field ..."),
 // and the round-trip String rendering, so every CLI that takes a spec
 // flag parses — and prints — exactly the same language. Fields left
-// unset parse to their zero value, and String omits zero-valued fields,
-// so Parse(String(v)) == v for every representable value.
+// unset parse to their zero value, String omits zero-valued fields, and
+// the empty spec parses to the zero value, so Parse(String(v)) == v for
+// every value Parse returns.
 package specflag
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -52,12 +54,12 @@ func Int[T any](key string, f func(*T) *int) Field[T] {
 	}
 }
 
-// Float declares a dimensionless float field.
+// Float declares a dimensionless, finite float field.
 func Float[T any](key string, f func(*T) *float64) Field[T] {
 	return Field[T]{
 		Key: key,
 		set: func(v *T, s string) error {
-			x, err := strconv.ParseFloat(s, 64)
+			x, err := parseFinite(s)
 			*f(v) = x
 			return err
 		},
@@ -68,12 +70,12 @@ func Float[T any](key string, f func(*T) *float64) Field[T] {
 	}
 }
 
-// Millis declares a duration field stated in milliseconds.
+// Millis declares a finite duration field stated in milliseconds.
 func Millis[T any](key string, f func(*T) *units.Millis) Field[T] {
 	return Field[T]{
 		Key: key,
 		set: func(v *T, s string) error {
-			x, err := strconv.ParseFloat(s, 64)
+			x, err := parseFinite(s)
 			*f(v) = units.Millis(x)
 			return err
 		},
@@ -82,6 +84,17 @@ func Millis[T any](key string, f func(*T) *units.Millis) Field[T] {
 			return strconv.FormatFloat(float64(m), 'g', -1, 64), m > 0 || m < 0
 		},
 	}
+}
+
+// parseFinite parses a float and rejects NaN and ±Inf: no Validate
+// accepts them, and String cannot render NaN back (it is neither above
+// nor below zero).
+func parseFinite(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+		err = fmt.Errorf("%s is not finite", s)
+	}
+	return x, err
 }
 
 // Parser parses and renders one spec grammar.
@@ -106,10 +119,14 @@ func (p *Parser[T]) Keys() []string {
 }
 
 // Parse parses a comma-separated key=value spec. Unset fields keep
-// their zero value; unknown keys and malformed values are errors naming
-// the spec kind and the offending part.
+// their zero value, so the empty spec is the zero value; unknown keys
+// and malformed values are errors naming the spec kind and the
+// offending part.
 func (p *Parser[T]) Parse(s string) (T, error) {
 	var v T
+	if s == "" {
+		return v, nil
+	}
 	for _, part := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {

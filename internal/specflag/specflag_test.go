@@ -35,6 +35,8 @@ func TestTenantParseErrors(t *testing.T) {
 		{"sla=20", "name, model, deadline, rate, clients or think"},
 		{"deadline=abc", `bad tenant field "deadline=abc"`},
 		{"clients=1.5", `bad tenant field "clients=1.5"`},
+		{"rate=NaN", `bad tenant field "rate=NaN": NaN is not finite`},
+		{"deadline=-inf", `bad tenant field "deadline=-inf": -inf is not finite`},
 	}
 	for _, c := range cases {
 		if _, err := p.Parse(c.in); err == nil || !strings.Contains(err.Error(), c.wantSub) {
@@ -54,9 +56,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	for _, in := range tenants {
 		s := tp.String(in)
-		if s == "" {
-			continue // zero spec renders empty; nothing to reparse
-		}
 		out, err := tp.Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(String(%+v)) = %q: %v", in, s, err)
@@ -99,5 +98,38 @@ func TestKeys(t *testing.T) {
 	got := strings.Join(Tenant().Keys(), ",")
 	if got != "name,model,deadline,rate,clients,think" {
 		t.Fatalf("Keys = %q", got)
+	}
+}
+
+// FuzzSpecRoundTrip: whenever Parse accepts a spec, rendering the value
+// and parsing it again succeeds and reproduces the value, for both
+// grammars.
+func FuzzSpecRoundTrip(f *testing.F) {
+	for _, s := range []string{
+		"name=web,deadline=20,rate=300",
+		"name=batch,model=1,deadline=200,clients=4,think=5",
+		"platform=a40,count=2,replicas=3",
+		" name= x ,rate=0x1p-2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		roundTrip(t, Tenant(), s)
+		roundTrip(t, Node(), s)
+	})
+}
+
+func roundTrip[T comparable](t *testing.T, p *Parser[T], s string) {
+	v, err := p.Parse(s)
+	if err != nil {
+		return
+	}
+	r := p.String(v)
+	w, err := p.Parse(r)
+	if err != nil {
+		t.Fatalf("%s: Parse(%q) = %+v renders %q, which does not parse: %v", p.kind, s, v, r, err)
+	}
+	if w != v {
+		t.Fatalf("%s: Parse(%q) = %+v renders %q, which parses to %+v", p.kind, s, v, r, w)
 	}
 }

@@ -21,24 +21,3 @@ func MixSeed(seed int64, i int) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
 }
-
-// SeedStream hands out a deterministic sequence of decorrelated child
-// seeds from one base seed. The zero value is not useful; construct with
-// NewSeedStream. Streams are not safe for concurrent use.
-type SeedStream struct {
-	base int64
-	next int
-}
-
-// NewSeedStream returns a stream of child seeds derived from base.
-func NewSeedStream(base int64) *SeedStream {
-	return &SeedStream{base: base}
-}
-
-// Next returns the next child seed. The n-th call returns
-// MixSeed(base, n-1), so a stream is equivalent to indexed mixing.
-func (s *SeedStream) Next() int64 {
-	v := MixSeed(s.base, s.next)
-	s.next++
-	return v
-}

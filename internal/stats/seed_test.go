@@ -23,12 +23,3 @@ func TestMixSeedDeterministicAndDecorrelated(t *testing.T) {
 		t.Fatal("different base seeds produced the same child seed")
 	}
 }
-
-func TestSeedStreamMatchesIndexedMixing(t *testing.T) {
-	s := NewSeedStream(42)
-	for i := 0; i < 10; i++ {
-		if got, want := s.Next(), MixSeed(42, i); got != want {
-			t.Fatalf("stream call %d = %d, want MixSeed(42, %d) = %d", i, got, i, want)
-		}
-	}
-}

@@ -114,15 +114,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// Speedup returns base/x: how many times faster x is than base.
-// It returns 0 when x is 0.
-func Speedup(base, x float64) float64 {
-	if x == 0 {
-		return 0
-	}
-	return base / x
-}
-
 // Sample accumulates observations and reports summary statistics.
 type Sample struct {
 	xs []float64

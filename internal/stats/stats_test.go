@@ -34,15 +34,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if Speedup(10, 5) != 2 {
-		t.Fatal("Speedup(10,5) != 2")
-	}
-	if Speedup(10, 0) != 0 {
-		t.Fatal("Speedup by zero should be 0")
-	}
-}
-
 func TestSample(t *testing.T) {
 	var s Sample
 	for _, x := range []float64{1, 2, 3} {
