@@ -60,9 +60,10 @@ type Item struct {
 // solve by its item values — and obtain byte-identical results.
 //
 // Only models that are pure functions of their items may implement this.
-// profile.CostTable and FrozenModel deliberately do NOT: their StageTime
-// carries probe accounting (the Fig. 14 profiling-cost experiment), and
-// a fast path that skipped StageTime would corrupt the counts.
+// profile.CostTable and FrozenModel do NOT: their StageTime carries probe
+// accounting (the Fig. 14 profiling-cost experiment) or miss counting,
+// and a fast path that never called StageTime would corrupt the counts.
+// A caller may still skip a REPEATED probe of a MemoModel.
 type ItemModel interface {
 	Model
 	// Contention returns the stage pricing the model folds items with.
@@ -71,6 +72,27 @@ type ItemModel interface {
 	// is returned unclamped — clamping is Contention.accumulate's job,
 	// exactly as in StageTime.
 	StageItem(v graph.OpID) Item
+}
+
+// MemoModel is the contract behind the IOS dynamic program's per-block
+// stage memo: a model that memoizes StageTime by member set. An
+// implementation promises, for every operator list S,
+//
+//   - a repeated StageTime on S's member set returns the first call's
+//     value, bit for bit;
+//   - a repeat changes no observable state: no probe count, no simulated
+//     time, nothing a caller can read afterwards.
+//
+// So a caller may answer a repeat from its own memo, skip the call, and
+// observe the same results and the same accounting. profile.CostTable
+// implements it: the first probe of each member set is still made, in
+// the same order, so its counts and SimulatedMs are unchanged. Models
+// that observe every call must not implement it: FrozenModel counts each
+// miss, and a probe-recording test model hashes the call sequence.
+type MemoModel interface {
+	Model
+	// MemoizesStageTime marks the contract; it does nothing.
+	MemoizesStageTime()
 }
 
 // Contention is the concurrent-execution model for one GPU.

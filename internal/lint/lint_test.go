@@ -235,7 +235,7 @@ func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
 		"floatexact": 12, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, queue-point dedupe
 		"seedflow":   3,  // ios dp.go zobrist splitmix64 stream constants
-		"locksafe":   0,  // none: memo.Map.Sorted sizes its snapshot outside the lock
+		"locksafe":   0,  // none: profile.Export sizes its snapshot outside the lock
 		"hotpath":    9,  // scheduler and serving entry-point roots (propagation covers the rest)
 	}
 	got := map[string]int{}

@@ -1,6 +1,6 @@
-// Package memo is the read-mostly memo table under the process's three
-// caches: costcache (probes by shape), dpcache (IOS block solves by
-// signature) and profile.CostTable (one table's distinct probes).
+// Package memo is the read-mostly memo table under the process's two
+// shared caches: costcache (probes by shape) and dpcache (IOS block
+// solves by signature).
 //
 // Every value a memo holds is a pure function of its key. A lookup takes
 // the read lock; a miss computes its value outside any lock and inserts
@@ -10,21 +10,15 @@
 package memo
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // Map is a concurrent memo table without counters: a hit costs one
-// read-locked lookup. The zero value is not ready; use New.
+// read-locked lookup. It is used through Counted.
 type Map[K comparable, V any] struct {
 	mu sync.RWMutex
 	m  map[K]V
-}
-
-// New returns an empty Map.
-func New[K comparable, V any]() *Map[K, V] {
-	return &Map[K, V]{m: make(map[K]V)}
 }
 
 // Get returns the value memoized for *k, which it does not retain. The
@@ -55,24 +49,6 @@ func (m *Map[K, V]) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.m)
-}
-
-// Entry is one memoized key and its value.
-type Entry[K comparable, V any] struct {
-	Key K
-	Val V
-}
-
-// Sorted returns every entry, ordered by cmp over the keys.
-func (m *Map[K, V]) Sorted(cmp func(a, b K) int) []Entry[K, V] {
-	out := make([]Entry[K, V], 0, m.Len()) // sized before locking
-	m.mu.RLock()
-	for k, v := range m.m {
-		out = append(out, Entry[K, V]{k, v})
-	}
-	m.mu.RUnlock()
-	slices.SortFunc(out, func(a, b Entry[K, V]) int { return cmp(a.Key, b.Key) })
-	return out
 }
 
 // Reset drops every memoized value.

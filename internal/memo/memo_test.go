@@ -10,7 +10,7 @@ import (
 // the stored value, and every reader — during and after the race — sees
 // that value or nothing.
 func TestRacersStoreOneValue(t *testing.T) {
-	m := New[int, int]()
+	m := NewCounted[int, int]()
 	k := 7
 	const racers = 16
 	var wg sync.WaitGroup
@@ -57,7 +57,7 @@ func TestRacersStoreOneValue(t *testing.T) {
 // gets its own value back, a later one stores nothing and gets the
 // first value.
 func TestPutReportsWinner(t *testing.T) {
-	m := New[string, int]()
+	m := NewCounted[string, int]()
 	a := "a"
 	if v, stored := m.Put("a", 1); v != 1 || !stored {
 		t.Fatalf("first Put = (%d, %v), want (1, true)", v, stored)
@@ -88,23 +88,6 @@ func TestCountedResetZeroes(t *testing.T) {
 	}
 	if _, ok := c.Map.Get(&a); ok {
 		t.Fatal("entry survived Reset")
-	}
-}
-
-// TestSorted checks the snapshot holds every entry in comparator order.
-func TestSorted(t *testing.T) {
-	m := New[int, string]()
-	for _, k := range []int{5, 1, 4, 2, 3} {
-		m.Put(k, string(rune('a'+k)))
-	}
-	got := m.Sorted(func(a, b int) int { return b - a })
-	if len(got) != 5 {
-		t.Fatalf("Sorted returned %d entries, want 5", len(got))
-	}
-	for i, e := range got {
-		if e.Key != 5-i || e.Val != string(rune('a'+e.Key)) {
-			t.Fatalf("entry %d = %+v, want key %d", i, e, 5-i)
-		}
 	}
 }
 

@@ -45,23 +45,50 @@ type StageEntry struct {
 	Ms  units.Millis `json:"ms"`
 }
 
-// Export serializes every measurement the table has performed so far.
+// Export serializes every measurement the table has performed so far:
+// ops by ID, comms by endpoints and stages by their sorted member lists.
 func (t *CostTable) Export(model string) ([]byte, error) {
+	t.mu.RLock()
+	nOps, nComms, nStages := len(t.ops), len(t.comms), len(t.stages.vals)
+	t.mu.RUnlock()
 	snap := Snapshot{
 		Model:   model,
 		Warmup:  t.warmup,
 		Repeats: t.repeats,
-		Ops:     make(map[graph.OpID]units.Millis, t.ops.Len()),
+		Ops:     make(map[graph.OpID]units.Millis, nOps),
 	}
-	for _, e := range t.ops.Sorted(cmp.Compare) {
-		snap.Ops[e.Key] = e.Val
+	if nComms > 0 { // an empty list stays null in the JSON
+		snap.Comms = make([]CommEntry, 0, nComms)
 	}
-	for _, e := range t.comms.Sorted(func(a, b [2]graph.OpID) int { return slices.Compare(a[:], b[:]) }) {
-		snap.Comms = append(snap.Comms, CommEntry{From: e.Key[0], To: e.Key[1], Ms: e.Val})
+	type stageVal struct {
+		k stageKey
+		x units.Millis
 	}
-	for _, e := range t.stages.Sorted(stageSig.compare) {
-		snap.Stages = append(snap.Stages, StageEntry{Ops: e.Key.members(), Ms: e.Val})
+	stages := make([]stageVal, 0, nStages) // sized before locking
+	t.mu.RLock()
+	for v, x := range t.ops {
+		snap.Ops[v] = x
 	}
+	for k, x := range t.comms {
+		snap.Comms = append(snap.Comms, CommEntry{From: k[0], To: k[1], Ms: x})
+	}
+	for k, x := range t.stages.vals {
+		stages = append(stages, stageVal{k, x})
+	}
+	// Interned spills are never rewritten, so the slice header read under
+	// the lock decodes every key collected above.
+	spilled := stageMap{spills: t.stages.spills}
+	t.mu.RUnlock()
+	slices.SortFunc(snap.Comms, func(a, b CommEntry) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	if len(stages) > 0 {
+		snap.Stages = make([]StageEntry, 0, len(stages))
+	}
+	for _, e := range stages {
+		snap.Stages = append(snap.Stages, StageEntry{Ops: spilled.members(e.k), Ms: e.x})
+	}
+	slices.SortFunc(snap.Stages, func(a, b StageEntry) int { return slices.Compare(a.Ops, b.Ops) })
 	return json.MarshalIndent(snap, "", " ")
 }
 
@@ -80,7 +107,7 @@ func Import(data []byte) (*FrozenModel, error) {
 		Model:  snap.Model,
 		ops:    make(map[graph.OpID]units.Millis, len(snap.Ops)),
 		comms:  make(map[[2]graph.OpID]units.Millis, len(snap.Comms)),
-		stages: make(map[stageSig]units.Millis, len(snap.Stages)),
+		stages: newStageMap(),
 	}
 	for _, v := range slices.Sorted(maps.Keys(snap.Ops)) { // the first bad op reported is the lowest
 		if err := record(fm.ops, v, snap.Ops[v]); err != nil {
@@ -97,7 +124,7 @@ func Import(data []byte) (*FrozenModel, error) {
 			// StageTime answers a one-operator stage from the op table.
 			return nil, fmt.Errorf("profile: stage %v: fewer than two operators", st.Ops)
 		}
-		if err := record(fm.stages, makeStageSig(st.Ops), st.Ms); err != nil {
+		if err := record(fm.stages.vals, fm.stages.key(st.Ops), st.Ms); err != nil {
 			return nil, fmt.Errorf("profile: stage %v: %w", st.Ops, err)
 		}
 	}
@@ -126,7 +153,7 @@ type FrozenModel struct {
 	Model  string
 	ops    map[graph.OpID]units.Millis
 	comms  map[[2]graph.OpID]units.Millis
-	stages map[stageSig]units.Millis
+	stages stageMap
 	misses int
 }
 
@@ -155,7 +182,7 @@ func (f *FrozenModel) StageTime(ops []graph.OpID) units.Millis {
 	if len(ops) == 1 {
 		return f.OpTime(ops[0])
 	}
-	if t, ok := f.stages[makeStageSig(ops)]; ok {
+	if t, ok := f.stages.lookup(ops); ok {
 		return t
 	}
 	f.misses++

@@ -86,11 +86,13 @@ func TestImportRejectsGarbage(t *testing.T) {
 func TestStageSigRoundTrip(t *testing.T) {
 	cases := [][]graph.OpID{
 		{7, 300, 70000, 2},                         // inline path
-		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 10, 13}, // spills past stageSigInline
-		{1 << 40, 3, 1 << 33},                      // IDs above 32 bits survive the encoding
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 10, 13}, // spills past stageKeyInline
+		{1 << 40, 3, 1 << 33},                      // IDs above 32 bits spill too
+		{-4, 2},                                    // so do negative IDs
 	}
+	sm := newStageMap()
 	for _, ops := range cases {
-		got := makeStageSig(ops).members()
+		got := sm.members(sm.key(ops))
 		want := append([]graph.OpID(nil), ops...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		if len(got) != len(want) {
@@ -105,15 +107,17 @@ func TestStageSigRoundTrip(t *testing.T) {
 }
 
 func TestStageSigOrderInsensitive(t *testing.T) {
-	a := makeStageSig([]graph.OpID{5, 1, 9, 3})
-	b := makeStageSig([]graph.OpID{9, 3, 5, 1})
-	if a != b {
-		t.Fatal("stageSig depends on member order")
+	sm := newStageMap()
+	if sm.key([]graph.OpID{5, 1, 9, 3}) != sm.key([]graph.OpID{9, 3, 5, 1}) {
+		t.Fatal("stageKey depends on member order")
 	}
-	wideA := makeStageSig([]graph.OpID{12, 11, 10, 9, 8, 7, 6, 5, 4, 3})
-	wideB := makeStageSig([]graph.OpID{3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	wideA := sm.key([]graph.OpID{12, 11, 10, 9, 8, 7, 6, 5, 4, 3})
+	wideB := sm.key([]graph.OpID{3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	if wideA != wideB {
-		t.Fatal("wide stageSig depends on member order")
+		t.Fatal("wide stageKey depends on member order")
+	}
+	if sm.key([]graph.OpID{3, 1 << 33}) == sm.key([]graph.OpID{1 << 33, 4}) {
+		t.Fatal("two spilled stages share a key")
 	}
 }
 
@@ -158,9 +162,16 @@ func TestImportRejectsBadMeasurements(t *testing.T) {
 	}
 }
 
-// TestStageSigCompareMatchesMembers pins the key order Export sorts
-// stages by: comparing two keys must agree with comparing their sorted
-// member lists, across the inline and spill encodings.
+// unitModel prices every probe at 1 ms, for any operator ID.
+type unitModel struct{}
+
+func (unitModel) OpTime(graph.OpID) units.Millis        { return 1 }
+func (unitModel) CommTime(_, _ graph.OpID) units.Millis { return 1 }
+func (unitModel) StageTime([]graph.OpID) units.Millis   { return 1 }
+
+// TestStageSigCompareMatchesMembers pins the order Export lists stages
+// in: by sorted member list, shorter first on a shared prefix, across
+// the inline and spill encodings.
 func TestStageSigCompareMatchesMembers(t *testing.T) {
 	sets := [][]graph.OpID{
 		{0, 1}, {1, 0, 2}, {0, 2}, {1, 2},
@@ -171,12 +182,29 @@ func TestStageSigCompareMatchesMembers(t *testing.T) {
 		{0, 1, 2, 3, 4, 5, 6, 8},
 		{1 << 40, 3}, {3, 1 << 33},
 	}
-	for _, a := range sets {
-		for _, b := range sets {
-			ka, kb := makeStageSig(a), makeStageSig(b)
-			if got, want := ka.compare(kb), slices.Compare(ka.members(), kb.members()); got != want {
-				t.Errorf("compare(%v, %v) = %d, members compare %d", a, b, got, want)
-			}
+	tab := NewTable(unitModel{}, 1, 1)
+	for i := len(sets) - 1; i >= 0; i-- {
+		tab.StageTime(sets[i])
+	}
+	data, err := tab.Export("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var want [][]graph.OpID
+	for _, ops := range sets {
+		want = append(want, slices.Sorted(slices.Values(ops)))
+	}
+	slices.SortFunc(want, slices.Compare)
+	if len(snap.Stages) != len(want) {
+		t.Fatalf("exported %d stages, want %d", len(snap.Stages), len(want))
+	}
+	for i, st := range snap.Stages {
+		if !slices.Equal(st.Ops, want[i]) {
+			t.Errorf("stage %d = %v, want %v", i, st.Ops, want[i])
 		}
 	}
 }

@@ -13,15 +13,12 @@
 package profile
 
 import (
-	"cmp"
-	"slices"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
-	"github.com/shus-lab/hios/internal/memo"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -34,18 +31,20 @@ const (
 
 // CostTable is a memoizing, probe-counting cost.Model.
 //
-// Each probe kind is a memo.Map: lookups take a read lock only, so
-// concurrent sweeps sharing one table scale with cores once the working
-// set is memoized, and a miss inserts under the write lock with a
-// re-check, which also keeps the probe counts exact. The maps carry no
-// hit counters, so a memoized probe costs one read-locked lookup.
-// Concurrent use requires the wrapped model's own lookups to be safe for
-// concurrent readers (every model in internal/cost is: they are pure
-// functions over immutable graph data).
+// One RWMutex guards the three probe maps and the simulated profiler
+// time. A lookup takes the read lock only, so concurrent sweeps sharing
+// one table scale with cores once the working set is memoized. A miss
+// prices the probe outside any lock and then, in one write-locked
+// section, re-checks, inserts and charges the simulated time: a racer
+// that lost stores and charges nothing, and a Stats snapshot never pairs
+// a probe count with the time of a different count. Concurrent use
+// requires the wrapped model's own lookups to be safe for concurrent
+// readers (every model in internal/cost is: they are pure functions over
+// immutable graph data).
 //
 // Determinism under concurrency: memoized values and probe counts are
 // exact regardless of interleaving. Only SimulatedMs accumulates in
-// probe-completion order, so a table probed from several goroutines may report
+// insert order, so a table probed from several goroutines may report
 // last-ulp differences across runs; probe it from one goroutine (as
 // Fig. 14 does) when the exact float matters.
 type CostTable struct {
@@ -53,15 +52,17 @@ type CostTable struct {
 	warmup  int
 	repeats int
 
-	ops    *memo.Map[graph.OpID, units.Millis]
-	stages *memo.Map[stageSig, units.Millis]
-	comms  *memo.Map[[2]graph.OpID, units.Millis]
-
-	mu    sync.Mutex // guards simMs
-	simMs units.Millis
+	mu     sync.RWMutex // guards every field below
+	ops    map[graph.OpID]units.Millis
+	stages stageMap
+	comms  map[[2]graph.OpID]units.Millis
+	simMs  units.Millis
 }
 
-var _ cost.Model = (*CostTable)(nil)
+var (
+	_ cost.Model     = (*CostTable)(nil)
+	_ cost.MemoModel = (*CostTable)(nil)
+)
 
 // NewTable wraps m with measurement accounting. Non-positive warmup or
 // repeats select the defaults.
@@ -76,52 +77,100 @@ func NewTable(m cost.Model, warmup, repeats int) *CostTable {
 		inner:   m,
 		warmup:  warmup,
 		repeats: repeats,
-		ops:     memo.New[graph.OpID, units.Millis](),
-		stages:  memo.New[stageSig, units.Millis](),
-		comms:   memo.New[[2]graph.OpID, units.Millis](),
+		ops:     make(map[graph.OpID]units.Millis),
+		stages:  newStageMap(),
+		comms:   make(map[[2]graph.OpID]units.Millis),
 	}
 }
 
-// measured returns the value a probe's Put left in the table, charging
-// the simulated profiler time only when this call stored it: a racer
-// that lost measured nothing new.
-func (t *CostTable) measured(x units.Millis, stored bool) units.Millis {
-	if stored {
-		t.mu.Lock()
-		t.simMs += x.Scale(float64(t.warmup + t.repeats))
-		t.mu.Unlock()
+// MemoizesStageTime implements cost.MemoModel: a repeated probe returns
+// the memoized value and changes no count and no simulated time.
+func (t *CostTable) MemoizesStageTime() {}
+
+// store records x as k's measurement unless a racer stored one first,
+// and returns the value m holds for k afterwards. Only a new measurement
+// is charged its simulated profiler time. The caller holds t.mu.
+func store[K comparable](t *CostTable, m map[K]units.Millis, k K, x units.Millis) units.Millis {
+	if old, ok := m[k]; ok {
+		return old
 	}
+	m[k] = x
+	t.simMs += x.Scale(float64(t.warmup + t.repeats))
 	return x
 }
 
 // OpTime implements cost.Model.
 func (t *CostTable) OpTime(v graph.OpID) units.Millis {
-	if x, ok := t.ops.Get(&v); ok {
+	t.mu.RLock()
+	x, ok := t.ops[v]
+	t.mu.RUnlock()
+	if ok {
 		return x
 	}
-	return t.measured(t.ops.Put(v, t.inner.OpTime(v)))
+	x = t.inner.OpTime(v)
+	t.mu.Lock()
+	x = store(t, t.ops, v, x)
+	t.mu.Unlock()
+	return x
 }
 
 // CommTime implements cost.Model.
 func (t *CostTable) CommTime(u, v graph.OpID) units.Millis {
 	key := [2]graph.OpID{u, v}
-	if x, ok := t.comms.Get(&key); ok {
+	t.mu.RLock()
+	x, ok := t.comms[key]
+	t.mu.RUnlock()
+	if ok {
 		return x
 	}
-	return t.measured(t.comms.Put(key, t.inner.CommTime(u, v)))
+	x = t.inner.CommTime(u, v)
+	t.mu.Lock()
+	x = store(t, t.comms, key, x)
+	t.mu.Unlock()
+	return x
 }
 
 // StageTime implements cost.Model. Probes are keyed by the sorted member
-// set, as a profiler measures each distinct concurrent group once.
+// set, as a profiler measures each distinct concurrent group once. The
+// key is built once per call and serves both the lookup and the insert.
 func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	if len(ops) == 1 {
 		return t.OpTime(ops[0])
 	}
-	key := makeStageSig(ops)
-	if x, ok := t.stages.Get(&key); ok {
+	key, ok := inlineKey(ops)
+	if !ok {
+		return t.spilledStageTime(ops)
+	}
+	t.mu.RLock()
+	x, ok := t.stages.vals[key]
+	t.mu.RUnlock()
+	if ok {
 		return x
 	}
-	return t.measured(t.stages.Put(key, t.inner.StageTime(ops)))
+	x = t.inner.StageTime(ops)
+	t.mu.Lock()
+	x = store(t, t.stages.vals, key, x)
+	t.mu.Unlock()
+	return x
+}
+
+// spilledStageTime is StageTime for a stage too wide, or with an ID too
+// large, for an inline key. No scheduler probes one at its default
+// options, so it trades speed for simplicity: the exact encoding is
+// built on every call.
+func (t *CostTable) spilledStageTime(ops []graph.OpID) units.Millis {
+	sig := spillSig(ops)
+	t.mu.RLock()
+	x, ok := t.stages.spilled(sig)
+	t.mu.RUnlock()
+	if ok {
+		return x
+	}
+	x = t.inner.StageTime(ops)
+	t.mu.Lock()
+	x = store(t, t.stages.vals, t.stages.intern(sig), x)
+	t.mu.Unlock()
+	return x
 }
 
 // Stats summarizes the measurements a real profiler would have performed.
@@ -136,136 +185,154 @@ type Stats struct {
 // Probes returns the total number of distinct measurements.
 func (s Stats) Probes() int { return s.OpProbes + s.StageProbes + s.CommProbes }
 
-// Stats returns the accounting snapshot.
+// Stats returns the accounting snapshot. It is read under one lock, so
+// the counts and SimulatedMs always describe the same set of
+// measurements, even while other goroutines probe.
 func (t *CostTable) Stats() Stats {
-	s := Stats{OpProbes: t.ops.Len(), StageProbes: t.stages.Len(), CommProbes: t.comms.Len()}
-	t.mu.Lock()
-	s.SimulatedMs = t.simMs
-	t.mu.Unlock()
-	return s
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return Stats{
+		OpProbes:    len(t.ops),
+		StageProbes: len(t.stages.vals),
+		CommProbes:  len(t.comms),
+		SimulatedMs: t.simMs,
+	}
 }
 
-// stageSigInline is how many member IDs a stageSig stores inline. The IOS
-// dynamic program — the hot caller — never probes stages wider than its
-// MaxStage default of 8, so the inline array covers every probe the
-// schedulers issue without allocating.
-const stageSigInline = 8
+// stageKeyInline is how many members an inline stageKey holds. The IOS
+// dynamic program, the hot caller, never probes stages wider than its
+// MaxStage default of 8.
+const stageKeyInline = 8
 
-// stageSig is a comparable key identifying a concurrent-stage probe by its
-// sorted member set. Up to stageSigInline members live in the fixed array;
-// wider stages (possible through direct API use only) spill the remainder
-// into an encoded string. Building a key for an inline-sized stage
-// performs zero heap allocations, unlike the byte-string key it replaced —
-// the IOS DP issues millions of probes per block, so the key build was the
-// table's dominant allocation site (see BenchmarkStageSig).
-type stageSig struct {
-	n    int
-	ids  [stageSigInline]graph.OpID
-	rest string
-}
+// stageKey identifies a stage probe by its sorted member set. An inline
+// key holds id+1 of each member, ascending and zero-padded, so its first
+// word is never zero for a non-empty stage. A stage with more than
+// stageKeyInline members, or with an ID that id+1 cannot carry in 32
+// bits, is spilled instead: its exact encoding is interned in the
+// stageMap and its key is {0, ordinal}. The key holds no pointers, so the
+// map hashes and compares its 32 bytes directly; the 88-byte key with a
+// spill string it replaced made the map lookups a quarter of a profiled
+// IOS solve.
+type stageKey [stageKeyInline]uint32
 
-// makeStageSig builds the canonical (sorted-member) key for ops.
-//
-// The spill path sorts the member values on a stack array and encodes
-// the overflow directly as big-endian 8-byte chunks (OpIDs are
-// non-negative, so the encoding's lexicographic order equals numeric
-// order): two allocations — the chunk buffer and the spill string —
-// instead of the five of the heap-sorted slice + byte-buffer + string
-// round-trip it replaces (BenchmarkStageSigWide).
-func makeStageSig(ops []graph.OpID) stageSig {
-	k := stageSig{n: len(ops)}
-	if len(ops) <= stageSigInline {
-		copy(k.ids[:], ops)
-		ids := k.ids[:len(ops)]
-		// Insertion sort on the stack array: stages are tiny and nearly
-		// sorted already (schedulers keep stage members ID-ordered).
-		for a := 1; a < len(ids); a++ {
-			for b := a; b > 0 && ids[b] < ids[b-1]; b-- {
-				ids[b], ids[b-1] = ids[b-1], ids[b]
-			}
+// inlineKey builds ops' inline key, or reports false when ops must spill.
+// Members are insertion-sorted into place: stages are tiny.
+func inlineKey(ops []graph.OpID) (stageKey, bool) {
+	var k stageKey
+	if len(ops) > stageKeyInline {
+		return k, false
+	}
+	for i, v := range ops {
+		if uint64(v) >= math.MaxUint32 { // negative IDs wrap to huge values
+			return k, false
 		}
+		x := uint32(v) + 1
+		j := i
+		for ; j > 0 && k[j-1] > x; j-- {
+			k[j] = k[j-1]
+		}
+		k[j] = x
+	}
+	return k, true
+}
+
+// spillSig is the exact encoding of a spilled stage: its members sorted,
+// as big-endian 8-byte words. Up to 64 members are insertion-sorted on a
+// stack array (stages are nearly sorted already), so the string is the
+// only allocation.
+func spillSig(ops []graph.OpID) string {
+	var arr [64]graph.OpID
+	var buf [8 * 64]byte
+	sorted, enc := arr[:0], buf[:0]
+	if len(ops) > len(arr) {
+		sorted, enc = make([]graph.OpID, 0, len(ops)), make([]byte, 0, 8*len(ops))
+	}
+	for _, v := range ops {
+		j := len(sorted)
+		sorted = append(sorted, v)
+		for ; j > 0 && sorted[j-1] > v; j-- {
+			sorted[j] = sorted[j-1]
+		}
+		sorted[j] = v
+	}
+	for _, v := range sorted {
+		enc = binary.BigEndian.AppendUint64(enc, uint64(v))
+	}
+	return string(enc)
+}
+
+// stageMap is one table's stage measurements under compact keys, plus
+// the interning of spilled stages. It is not safe for concurrent use;
+// CostTable guards it with its lock.
+type stageMap struct {
+	vals   map[stageKey]units.Millis
+	ords   map[string]uint32 // spillSig -> ordinal, from 1
+	spills []string          // ordinal-1 -> spillSig
+}
+
+func newStageMap() stageMap {
+	return stageMap{vals: make(map[stageKey]units.Millis), ords: make(map[string]uint32)}
+}
+
+// key returns ops' key, interning a spilled stage not seen before.
+func (sm *stageMap) key(ops []graph.OpID) stageKey {
+	if k, ok := inlineKey(ops); ok {
 		return k
 	}
-	// Sort the member values on a stack array (insertion sort for the
-	// realistic widths; the stdlib-sort fallback below keeps its own
-	// heap slice so this array never escapes), then encode the sorted
-	// tail directly into the spill buffer.
-	if len(ops) <= 64 {
-		var arr [64]uint64
-		vals := arr[:len(ops)]
-		for i, id := range ops {
-			vals[i] = uint64(id)
-		}
-		for a := 1; a < len(vals); a++ {
-			for b := a; b > 0 && vals[b] < vals[b-1]; b-- {
-				vals[b], vals[b-1] = vals[b-1], vals[b]
+	return sm.intern(spillSig(ops))
+}
+
+// lookup returns the measurement recorded for ops, if any.
+func (sm *stageMap) lookup(ops []graph.OpID) (units.Millis, bool) {
+	if k, ok := inlineKey(ops); ok {
+		x, ok := sm.vals[k]
+		return x, ok
+	}
+	return sm.spilled(spillSig(ops))
+}
+
+// spilled returns the measurement recorded for a spilled stage, if any.
+func (sm *stageMap) spilled(sig string) (units.Millis, bool) {
+	ord, ok := sm.ords[sig]
+	if !ok {
+		return 0, false
+	}
+	x, ok := sm.vals[stageKey{0, ord}]
+	return x, ok
+}
+
+// intern returns the key of a spilled stage, assigning the next ordinal
+// to a signature not seen before.
+func (sm *stageMap) intern(sig string) stageKey {
+	ord, ok := sm.ords[sig]
+	if !ok {
+		sm.spills = append(sm.spills, sig)
+		ord = uint32(len(sm.spills))
+		sm.ords[sig] = ord
+	}
+	return stageKey{0, ord}
+}
+
+// members reconstructs the sorted member set k encodes.
+func (sm *stageMap) members(k stageKey) []graph.OpID {
+	if k[0] == 0 && k[1] != 0 {
+		sig := sm.spills[k[1]-1]
+		out := make([]graph.OpID, 0, len(sig)/8)
+		for i := 0; i+8 <= len(sig); i += 8 {
+			var id uint64
+			for _, c := range []byte(sig[i : i+8]) {
+				id = id<<8 | uint64(c)
 			}
+			out = append(out, graph.OpID(id))
 		}
-		k.fillSpill(vals)
-		return k
+		return out
 	}
-	vals := make([]uint64, len(ops))
-	for i, id := range ops {
-		vals[i] = uint64(id)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	k.fillSpill(vals)
-	return k
-}
-
-// fillSpill distributes sorted member values into the inline array and
-// the encoded spill string.
-func (k *stageSig) fillSpill(vals []uint64) {
-	for i := 0; i < stageSigInline; i++ {
-		k.ids[i] = graph.OpID(vals[i])
-	}
-	buf := make([]byte, 8*(len(vals)-stageSigInline))
-	for i, v := range vals[stageSigInline:] {
-		putChunk(buf[8*i:8*i+8], v)
-	}
-	k.rest = string(buf)
-}
-
-func putChunk(dst []byte, v uint64) {
-	dst[0] = byte(v >> 56)
-	dst[1] = byte(v >> 48)
-	dst[2] = byte(v >> 40)
-	dst[3] = byte(v >> 32)
-	dst[4] = byte(v >> 24)
-	dst[5] = byte(v >> 16)
-	dst[6] = byte(v >> 8)
-	dst[7] = byte(v)
-}
-
-// compare orders keys by their sorted member lists, lexicographically
-// with the shorter list first on a shared prefix. The spill string's
-// big-endian chunks compare bytewise in member order, so the inline
-// prefix, then the spill, then the width decide.
-func (k stageSig) compare(o stageSig) int {
-	n := min(k.n, o.n, stageSigInline)
-	if c := slices.Compare(k.ids[:n], o.ids[:n]); c != 0 {
-		return c
-	}
-	if c := strings.Compare(k.rest, o.rest); c != 0 {
-		return c
-	}
-	return cmp.Compare(k.n, o.n)
-}
-
-// members reconstructs the sorted member set the key encodes.
-func (k stageSig) members() []graph.OpID {
-	out := make([]graph.OpID, 0, k.n)
-	inline := k.n
-	if inline > stageSigInline {
-		inline = stageSigInline
-	}
-	out = append(out, k.ids[:inline]...)
-	for i := 0; i+7 < len(k.rest); i += 8 {
-		var id uint64
-		for j := 0; j < 8; j++ {
-			id = id<<8 | uint64(k.rest[i+j])
+	out := make([]graph.OpID, 0, stageKeyInline)
+	for _, x := range k {
+		if x == 0 {
+			break
 		}
-		out = append(out, graph.OpID(id))
+		out = append(out, graph.OpID(x-1))
 	}
 	return out
 }

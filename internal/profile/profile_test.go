@@ -177,21 +177,25 @@ func TestIOSProbesMoreStagesThanLP(t *testing.T) {
 // and checks the accounting afterwards: probe counts must equal the
 // distinct probe population (no double-counted misses despite the
 // read-lock fast path), and every memoized value must match the inner
-// model exactly.
+// model exactly. Meanwhile a second table, priced 1 ms per probe, takes
+// a stream of new probes while Stats snapshots of it are taken: every
+// snapshot must charge exactly its own probe count.
 func TestConcurrentProbesStayExact(t *testing.T) {
 	cfg := randdag.Paper()
 	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 40, 5, 80, 5
 	g := randdag.MustGenerate(cfg)
 	inner := cost.FromGraph(g, cost.DefaultContention())
 	tab := NewTable(inner, 1, 1)
+	unit := NewTable(unitModel{}, 1, 1) // 2 ms simulated per probe
 
 	n := g.NumOps()
+	const workers, reps = 8, 50
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for rep := 0; rep < 50; rep++ {
+			for rep := 0; rep < reps; rep++ {
 				for v := 0; v < n; v++ {
 					tab.OpTime(graph.OpID(v))
 				}
@@ -199,10 +203,44 @@ func TestConcurrentProbesStayExact(t *testing.T) {
 					tab.StageTime([]graph.OpID{graph.OpID(v), graph.OpID(v + 1), graph.OpID(v + 3)})
 				}
 				tab.CommTime(graph.OpID(w), graph.OpID(w+1))
+				// Pairs of workers share their unit probes, so some race.
+				base := graph.OpID(((w/2)*reps + rep) * n)
+				for v := graph.OpID(0); v < graph.OpID(n); v++ {
+					unit.OpTime(base + v)
+					unit.StageTime([]graph.OpID{base + v, base + v + 1})
+					unit.CommTime(base, v)
+				}
 			}
 		}(w)
 	}
+	done := make(chan struct{})
+	snapshots := make(chan int)
+	go func() {
+		taken := 0
+		for {
+			select {
+			case <-done:
+				snapshots <- taken
+				return
+			default:
+			}
+			st := unit.Stats()
+			if want := units.Millis(2 * st.Probes()); st.SimulatedMs != want { //lint:floatexact integer sums are exact
+				t.Errorf("snapshot %+v charges %v ms for %d probes, want %v", st, st.SimulatedMs, st.Probes(), want)
+				snapshots <- taken
+				return
+			}
+			taken++
+		}
+	}()
 	wg.Wait()
+	close(done)
+	if taken := <-snapshots; taken == 0 {
+		t.Error("no Stats snapshot was taken during probing")
+	}
+	if got, want := unit.Stats().Probes(), 3*(workers/2)*reps*n; got != want {
+		t.Fatalf("unit table probes = %d, want %d", got, want)
+	}
 
 	st := tab.Stats()
 	if st.OpProbes != n {

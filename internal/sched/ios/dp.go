@@ -229,6 +229,22 @@ func (p *pending) stateLess(a, b int32) bool {
 	return less(x.set, y.set)
 }
 
+// stageMemoWidth is the widest stage the per-block stage memo keeps: its
+// key packs one uint16 per member, so an entry is 32 bytes. It matches
+// the MaxStage default; wider stages are priced by a direct call.
+const stageMemoWidth = 8
+
+// stageMemo is one entry of the solver's per-block stage-price memo, an
+// open-addressed table indexed by the stage's zobrist hash. The key is
+// each member's local index + 1 in ascending order (the order the DFS
+// builds stages in), zero-padded; epoch names the block the entry
+// belongs to, so starting a block empties the table without touching it.
+type stageMemo struct {
+	key   [stageMemoWidth]uint16
+	epoch uint32
+	t     units.Millis
+}
+
 // solver holds every scratch structure of the block dynamic program so one
 // Schedule call (or one SolveSequence caller) reuses the allocations across
 // blocks. The zero value is ready. Per-block context (the block, the model,
@@ -255,12 +271,23 @@ type solver struct {
 	maxStage int
 	topLimit int // top heap size per bucket: Beam+1 in beam mode, else 0
 
+	// Per-block stage-price memo of the generic path, on only for a
+	// cost.MemoModel. skey is the candidate stage's memo key, maintained
+	// beside s.stage; memoFill counts the current epoch's entries.
+	memoOn    bool
+	memo      []stageMemo
+	memoEpoch uint32
+	memoFill  int
+	skey      [stageMemoWidth]uint16
+
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
 	// members of s.stage; cur* are the expanding state's fields, copied
 	// out of the bucket so methods never hold pointers into growable
-	// slabs. curSlot is the expanding state's ring slot.
+	// slabs. curSlot is the expanding state's ring slot; nhash ^ curHash
+	// is the zobrist hash of the stage alone.
 	nset    bitset
 	nhash   uint64
+	curHash uint64
 	curCost units.Millis
 	curDone int32
 	curSlot int
@@ -396,8 +423,11 @@ func (s *solver) enumFast(fr []int, i int, maxT, work units.Millis, util float64
 // enumGeneric is enumFast for models outside the ItemModel contract: each
 // candidate is priced by m.StageTime on the incrementally maintained probe
 // slice. The probe contents, call set and call order are identical to the
-// pre-rework DP, which keeps probe-counting models (profile.CostTable and
-// the Fig. 14 accounting built on it) byte-identical.
+// pre-rework DP, which keeps probe-counting models byte-identical. The one
+// exception is opt-in: for a cost.MemoModel (profile.CostTable and the
+// Fig. 14 accounting built on it) a stage of at most stageMemoWidth
+// members is priced once per block, and repeats read the memo — the
+// model promised they would change nothing.
 func (s *solver) enumGeneric(fr []int, i int) {
 	for j := i; j < len(fr); j++ {
 		li := fr[j]
@@ -405,15 +435,92 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.nhash ^= zobrist[li]
 		s.stage = append(s.stage, li)
 		s.probe = append(s.probe, s.block[li])
-		s.transition(s.m.StageTime(s.probe))
-		if len(s.stage) < s.maxStage && j+1 < len(fr) {
+		n := len(s.stage)
+		if s.memoOn && n <= stageMemoWidth {
+			s.skey[n-1] = uint16(li + 1)
+			s.transition(s.memoStageTime())
+		} else {
+			s.transition(s.m.StageTime(s.probe))
+		}
+		if n < s.maxStage && j+1 < len(fr) {
 			s.enumGeneric(fr, j+1)
 		}
-		s.probe = s.probe[:len(s.probe)-1]
-		s.stage = s.stage[:len(s.stage)-1]
+		if n <= stageMemoWidth {
+			s.skey[n-1] = 0
+		}
+		s.probe = s.probe[:n-1]
+		s.stage = s.stage[:n-1]
 		s.nhash ^= zobrist[li]
 		s.nset.unset(li)
 	}
+}
+
+// memoStageTime prices the candidate stage in s.probe once per block:
+// the first probe of a member set calls the model and records the
+// answer, and a repeat reads it back.
+func (s *solver) memoStageTime() units.Millis {
+	h := s.nhash ^ s.curHash
+	mask := uint64(len(s.memo) - 1)
+	i := h & mask
+	for ; s.memo[i].epoch == s.memoEpoch; i = (i + 1) & mask {
+		if s.memo[i].key == s.skey {
+			return s.memo[i].t
+		}
+	}
+	t := s.m.StageTime(s.probe)
+	if (s.memoFill+1)*4 >= len(s.memo)*3 {
+		s.growMemo()
+		i = s.memoFree(h)
+	}
+	s.memo[i] = stageMemo{key: s.skey, epoch: s.memoEpoch, t: t}
+	s.memoFill++
+	return t
+}
+
+// memoFree returns the first slot from hash h's home slot on that holds
+// no entry of the current block.
+func (s *solver) memoFree(h uint64) uint64 {
+	mask := uint64(len(s.memo) - 1)
+	i := h & mask
+	for s.memo[i].epoch == s.memoEpoch {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// growMemo doubles the stage memo and re-inserts the current block's
+// entries, recomputing each stage's zobrist hash from its key.
+func (s *solver) growMemo() {
+	old := s.memo
+	s.memo = make([]stageMemo, 2*len(old))
+	for _, e := range old {
+		if e.epoch != s.memoEpoch {
+			continue
+		}
+		var h uint64
+		for _, x := range e.key {
+			if x == 0 {
+				break
+			}
+			h ^= zobrist[x-1]
+		}
+		s.memo[s.memoFree(h)] = e
+	}
+}
+
+// resetMemo empties the stage memo for a new block by starting a new
+// epoch, clearing the table only when the epoch counter wraps.
+func (s *solver) resetMemo() {
+	const initialMemo = 1024
+	if len(s.memo) == 0 {
+		s.memo = make([]stageMemo, initialMemo)
+	}
+	s.memoEpoch++
+	if s.memoEpoch == 0 {
+		clear(s.memo)
+		s.memoEpoch = 1
+	}
+	s.memoFill = 0
 }
 
 // selectBeam picks the beam cheapest states of the bucket under the
@@ -523,6 +630,10 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			s.items = append(s.items, im.StageItem(v))
 		}
 	}
+	_, memo := m.(cost.MemoModel)
+	if s.memoOn = memo && !fast; s.memoOn {
+		s.resetMemo()
+	}
 
 	// State 0 is the empty start state; buckets are processed in count
 	// order, and every transition strictly increases the count, so each
@@ -566,7 +677,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 
 			s.curCost, s.curDone, s.curSlot = st.cost, di, slot
 			s.nset = st.set
-			s.nhash = st.hash
+			s.nhash, s.curHash = st.hash, st.hash
 			fr := s.front
 			if len(fr) > opt.PruneWindow {
 				fr = fr[:opt.PruneWindow]
