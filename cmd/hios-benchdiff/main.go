@@ -15,8 +15,8 @@
 // entry, prints one table with a geometric-mean row per checkpoint, and
 // exits 1 on any violation. A bound no reading checks is a violation, so
 // a renamed benchmark cannot drop its lock silently, and any rise from a
-// zero baseline exceeds every bound. Benchmarks without an entry are
-// reported only. `hios-benchdiff -record seed bench.txt bench_gate.txt`
+// zero baseline exceeds every bound. Benchmarks without an entry, or
+// with an entry that carries no bound, are reported only. `hios-benchdiff -record seed bench.txt bench_gate.txt`
 // rewrites one checkpoint's history instead; the later input wins.
 package main
 
@@ -270,15 +270,20 @@ type row struct {
 	nsFail, allocsFail bool
 }
 
+// bounds returns the bounds entry e is checked against: the default
+// bound when e has a value at its checkpoint, then e's own.
+func (l *ledger) bounds(e benchmark) []bound {
+	if _, ok := e.History[l.DefaultBound.Vs]; ok {
+		return append([]bound{l.DefaultBound}, e.Bounds...)
+	}
+	return e.Bounds
+}
+
 func check(l *ledger, inputs []input) []row {
 	var rows []row
 	for _, name := range slices.Sorted(maps.Keys(l.Benchmarks)) {
 		e := l.Benchmarks[name]
-		bounds := e.Bounds
-		if _, ok := e.History[l.DefaultBound.Vs]; ok {
-			bounds = append([]bound{l.DefaultBound}, bounds...)
-		}
-		for _, b := range bounds {
+		for _, b := range l.bounds(e) {
 			base := e.History[b.Vs]
 			nsSeen, allocsSeen := false, false
 			for _, in := range inputs {
@@ -314,7 +319,8 @@ func ratio(n, o float64) float64 {
 }
 
 // report prints the core counts, then one section per checkpoint with a
-// geometric-mean row, then the benchmarks the ledger does not track. It
+// geometric-mean row, then the benchmarks no bound checks: those without
+// a ledger entry and the entries kept for their note alone. It
 // returns whether any bound was violated.
 func report(w io.Writer, l *ledger, inputs []input, rows []row) (failed bool) {
 	procs := readingProcs(inputs)
@@ -357,10 +363,10 @@ func report(w io.Writer, l *ledger, inputs []input, rows []row) (failed bool) {
 		fmt.Fprintf(w, "%4s %-56s %-16s %-14s %s\n", "", fmt.Sprintf("geomean (%d readings)", nsN), "",
 			cell(math.Exp(nsLog/float64(nsN)), 0, false), cell(math.Exp(allocsLog/float64(allocsN)), 0, false))
 	}
-	fmt.Fprintln(w, "\nnot in the ledger (report only)")
+	fmt.Fprintln(w, "\nunbounded (report only)")
 	for _, in := range inputs {
 		for _, name := range slices.Sorted(maps.Keys(in.readings)) {
-			if _, ok := l.Benchmarks[name]; !ok {
+			if e, ok := l.Benchmarks[name]; !ok || len(l.bounds(e)) == 0 {
 				fmt.Fprintf(w, "%4s %-56s %-16s %.0f ns/op\n", "", name, in.name, in.readings[name].NsPerOp)
 			}
 		}

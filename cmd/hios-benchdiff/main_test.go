@@ -146,6 +146,34 @@ func TestCheck(t *testing.T) {
 	}
 }
 
+// TestReportListsUnbounded checks that a reading no bound checks is
+// still printed: a benchmark with no ledger entry and one whose entry
+// has neither a default-checkpoint value nor bounds of its own.
+func TestReportListsUnbounded(t *testing.T) {
+	l := loadTestLedger(t)
+	l.Benchmarks["internal/eventq.BenchmarkNoted"] = benchmark{Note: "report-only", History: map[string]measure{}}
+	readings := passing()
+	readings["internal/eventq.BenchmarkNoted"] = [2]float64{85, 0}
+	readings["internal/eventq.BenchmarkUntracked"] = [2]float64{95, 0}
+	in, err := parse("bench.txt", benchOutput(readings))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if failed := report(&out, l, []input{in}, check(l, []input{in})); failed {
+		t.Fatalf("report failed:\n%s", out.String())
+	}
+	_, tail, _ := strings.Cut(out.String(), "unbounded (report only)")
+	for _, name := range []string{"BenchmarkNoted", "BenchmarkUntracked"} {
+		if !strings.Contains(tail, name) {
+			t.Errorf("%s missing from the report-only section:\n%s", name, out.String())
+		}
+	}
+	if strings.Contains(tail, "BenchmarkSeed") {
+		t.Errorf("bounded BenchmarkSeed listed as report-only:\n%s", out.String())
+	}
+}
+
 func TestParseStripsProcsSuffix(t *testing.T) {
 	in, err := parse("b.txt", "pkg: github.com/shus-lab/hios/internal/sched\n"+
 		"BenchmarkA-16   \t 10\t 5 ns/op\t 1 allocs/op\n"+
@@ -273,9 +301,10 @@ func TestLedgerBoundInventory(t *testing.T) {
 			got[b.Vs] = append(got[b.Vs], name)
 		}
 	}
-	// The two preprofmemo entries were never measured at seed.
-	if seeded != 50 || len(l.Benchmarks) != 52 {
-		t.Errorf("%d of %d entries carry the seed bound, want 50 of 52", seeded, len(l.Benchmarks))
+	// The two preprofmemo entries were never measured at seed, and
+	// eventq's BenchmarkQueuePushPop is report-only.
+	if seeded != 50 || len(l.Benchmarks) != 53 {
+		t.Errorf("%d of %d entries carry the seed bound, want 50 of 53", seeded, len(l.Benchmarks))
 	}
 	for _, cp := range slices.Sorted(maps.Keys(want)) {
 		if !slices.Equal(got[cp], want[cp].benches) {

@@ -187,7 +187,7 @@ func (e *engine) scale(ni, di, target int, now units.Millis) {
 		return
 	}
 	p.target = target
-	if p.idle.Len() > 0 {
+	if len(p.idle) > 0 {
 		p.idle.Pop() // retire the lowest idle replica now
 		p.setLive(p.live-1, now)
 	}

@@ -24,10 +24,12 @@
 // The engine obeys the repository's determinism contract (DESIGN.md
 // §7, §9, §14): no wall clock, no global RNG; arrivals draw from
 // rand.Rand streams seeded via stats.MixSeed, events are totally ordered
-// by (time, sequence) — one event heap, with the pre-drawn open-loop
-// arrivals merged into its order — and every report slice is
-// emitted in deterministic order — the same options always render a
-// byte-identical report.
+// by (time, sequence) — one eventq.Queue, the queue the schedule
+// simulator also runs on, with the pre-drawn open-loop arrivals merged
+// into its order — and every report slice is emitted in deterministic
+// order — the same options always render a byte-identical report. Each
+// pool's request queue is an eventq.Queue too, keyed by absolute
+// deadline (EDF) or a constant (FIFO, which leaves push order).
 package cluster
 
 import (

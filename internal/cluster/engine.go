@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/shus-lab/hios/internal/eventq"
 	"github.com/shus-lab/hios/internal/stats"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -26,11 +27,10 @@ type request struct {
 	arrive   units.Millis
 	deadline units.Millis // absolute: arrive + tenant deadline
 	finish   units.Millis
-	qseq     int // global enqueue order, the FIFO key and EDF tie-break
 	state    int
 }
 
-// Event kinds; simultaneous events execute in push order via the heap's
+// Event kinds; simultaneous events execute in push order via the queue's
 // internal sequence number.
 const (
 	evArrive = iota // a request reaches the gateway
@@ -39,8 +39,8 @@ const (
 	evTick          // the autoscaler evaluates every pool
 )
 
-// event is the heap payload; the (time, sequence) total-order key lives
-// in the eventHeap.
+// event is the event queue's payload; the (time, sequence) total-order
+// key lives in the eventq.Queue.
 type event struct {
 	kind      int32
 	node, dep int32 // evDone, evFree: the pool
@@ -50,9 +50,13 @@ type event struct {
 // pool is one (node, deployment) replica set: the unit the router
 // targets and the autoscaler scales.
 type pool struct {
-	prof   Profile
-	queue  requestQueue
-	idle   replicaHeap
+	prof Profile
+	// queue holds the pending request refs keyed by absolute deadline
+	// (EDF) or by 0 (FIFO); ties pop in push order, which is the pool's
+	// enqueue order.
+	queue  eventq.Queue[int]
+	idle   idleReplicas
+	fifo   bool
 	live   int // current replica count
 	target int // autoscaler's desired count (live catches up lazily)
 	peak   int
@@ -91,22 +95,57 @@ type pool struct {
 // queues in arrival order instead of by deadline (Serve's fifo policy);
 // a non-nil autoscaler allocates the pool's sliding windows.
 func newPool(prof Profile, reps int, fifo bool, a *AutoscalerOptions) pool {
-	p := pool{prof: prof, queue: requestQueue{byDeadline: !fifo}, starts: make([]int, reps)}
+	p := pool{prof: prof, fifo: fifo, starts: make([]int, reps)}
 	if a != nil {
 		p.depthWin = make([]float64, a.Window)
 		p.doneWin = make([]int, a.Window)
 		p.metWin = make([]int, a.Window)
 	}
-	for rp := 0; rp < reps; rp++ {
-		p.idle.Push(rp)
+	p.idle = make(idleReplicas, reps)
+	for i := range p.idle {
+		p.idle[i] = reps - 1 - i
 	}
 	p.live, p.target, p.peak = reps, reps, reps
 	return p
 }
 
+// enqueue queues request ref with the given absolute deadline in queue
+// order: by deadline under EDF, by arrival under FIFO.
+func (p *pool) enqueue(ref int, deadline units.Millis) {
+	if p.fifo {
+		deadline = 0
+	}
+	p.queue.Push(deadline, ref)
+}
+
+// idleReplicas is a pool's idle set: replica indices in descending
+// order, so Pop takes the lowest. Picking the lowest index keeps replica
+// selection deterministic and stable under scale-up (new replicas get
+// the highest indices and are used last).
+type idleReplicas []int
+
+// Push returns replica v to the idle set.
+func (s *idleReplicas) Push(v int) {
+	t := append(*s, v)
+	i := len(t) - 1
+	for ; i > 0 && t[i-1] < v; i-- {
+		t[i] = t[i-1]
+	}
+	t[i] = v
+	*s = t
+}
+
+// Pop removes and returns the lowest idle replica index.
+func (s *idleReplicas) Pop() int {
+	old := *s
+	n := len(old) - 1
+	*s = old[:n]
+	return old[n]
+}
+
 // outstanding returns queued plus in-service requests: the router's load
 // signal and the autoscaler's concurrency signal.
-func (p *pool) outstanding() int { return p.queue.Len() + p.live - p.idle.Len() }
+func (p *pool) outstanding() int { return p.queue.Len() + p.live - len(p.idle) }
 
 // admitted returns the requests the pool started across all replicas.
 func (p *pool) admitted() int {
@@ -153,24 +192,23 @@ const slabSigmas = 4
 
 // engine is the running simulation state, shared by Run and Serve.
 //
-// Open-loop arrivals never enter the event heap. newEngine pre-draws
+// Open-loop arrivals never enter the event queue. newEngine pre-draws
 // them, so each open-loop tenant's requests form one contiguous
-// time-sorted run of reqs, and while newEngine draws, the heap sequence
+// time-sorted run of reqs, and while newEngine draws, the queue sequence
 // number of every arrival equals its request index (Reserve keeps the
-// counter in step for the arrivals the heap never holds). next merges
-// the run heads against the heap top by (arrive, index) = (time,
-// sequence), which replays the exact order of one heap holding every
-// event, while the heap itself only holds in-flight work, closed-loop
+// counter in step for the arrivals the queue never holds). next merges
+// the run heads against the queue top by (arrive, index) = (time,
+// sequence), which replays the exact order of one queue holding every
+// event, while the queue itself only holds in-flight work, closed-loop
 // arrivals and the autoscaler tick.
 type engine struct {
 	o       Options
 	nodes   []node
 	reqs    []request
 	issued  []int // per-tenant issue counter
-	events  eventHeap[event]
+	events  eventq.Queue[event]
 	streams []stream // per open-loop tenant with arrivals
 	head    int      // streams index of the earliest pending arrival, -1 when all are drained
-	qseq    int      // enqueue sequence counter
 	depth   int      // queued requests across all pools (gateway shedding signal)
 	popped  int64
 	points  []QueuePoint
@@ -260,7 +298,7 @@ func slabHint(o Options) int {
 }
 
 // newRequest creates a request arriving at the given time. A closed-loop
-// arrival is pushed on the event heap; an open-loop one (client < 0,
+// arrival is pushed on the event queue; an open-loop one (client < 0,
 // only ever pre-drawn by newEngine) stays in its tenant's stream and
 // only reserves its sequence number, which equals its request index.
 func (e *engine) newRequest(tenant, client int, at units.Millis) {
@@ -288,15 +326,15 @@ func (e *engine) pickHead() {
 	e.head = -1
 	best := 0 // request index of the head's pending arrival
 	for i, s := range e.streams {
-		if s.next < s.end && (e.head < 0 || earlier(e.reqs[s.next].arrive, s.next, e.reqs[best].arrive, best)) {
+		if s.next < s.end && (e.head < 0 || eventq.Earlier(e.reqs[s.next].arrive, s.next, e.reqs[best].arrive, best)) {
 			e.head, best = i, s.next
 		}
 	}
 }
 
 // next removes and returns the earliest pending event: the earliest
-// open-loop arrival when its (arrive, index) key precedes the heap top,
-// the heap top otherwise. ok is false once both are drained.
+// open-loop arrival when its (arrive, index) key precedes the queue top,
+// the queue top otherwise. ok is false once both are drained.
 func (e *engine) next() (now units.Millis, ev event, ok bool) {
 	if e.head >= 0 {
 		s := &e.streams[e.head]
@@ -374,8 +412,8 @@ func (e *engine) shed(ri, state int, now units.Millis) {
 func (e *engine) dispatch(ni, di int, now units.Millis) {
 	p := &e.nodes[ni].pools[di]
 	p.touch(now)
-	for p.idle.Len() > 0 && p.queue.Len() > 0 {
-		ri := p.queue.Pop()
+	for len(p.idle) > 0 && p.queue.Len() > 0 {
+		_, ri := p.queue.Pop()
 		r := &e.reqs[ri]
 		e.depth--
 		if e.o.Admission.ShedHopeless && now+p.prof.Latency > r.deadline {
@@ -429,13 +467,11 @@ func (e *engine) run() (units.Millis, error) {
 				break
 			}
 			r := &e.reqs[ev.ref]
-			r.qseq = e.qseq
-			e.qseq++
 			di := e.o.Tenants[r.tenant].Model
 			ni := e.route(r.tenant, di)
 			p := &e.nodes[ni].pools[di]
 			p.touch(now)
-			p.queue.Push(r.deadline, r.qseq, ev.ref)
+			p.enqueue(ev.ref, r.deadline)
 			e.depth++
 			e.dispatch(ni, di, now)
 		case evFree:

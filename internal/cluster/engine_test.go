@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/shus-lab/hios/internal/eventq"
 	"github.com/shus-lab/hios/internal/units"
 )
 
@@ -35,24 +36,28 @@ func TestArrivalMergeMatchesOneHeap(t *testing.T) {
 	for i := range e.reqs {
 		e.reqs[i].arrive = units.Millis(math.Floor(float64(e.reqs[i].arrive)))
 	}
-	for i := range e.events.items {
-		it := &e.events.items[i]
-		if it.payload.kind == evArrive {
-			it.at = e.reqs[it.payload.ref].arrive
+	// Refill the queue at the floored times with newEngine's push
+	// sequence: each closed-loop arrival under its request index, a
+	// reserved number for each open-loop one, then the tick. The refill
+	// must leave newEngine's counters, which the checks below then pin.
+	setupSeq, setupLen := e.events.Seq(), e.events.Len()
+	e.events = eventq.Queue[event]{}
+	for ri := range e.reqs {
+		if e.reqs[ri].client < 0 {
+			e.events.Reserve()
+			continue
 		}
+		e.events.Push(e.reqs[ri].arrive, event{kind: evArrive, ref: ri})
 	}
-	// A slice sorted by (at, seq) is a valid heap.
-	slices.SortFunc(e.events.items, func(a, b timed[event]) int {
-		if earlier(a.at, a.seq, b.at, b.seq) {
-			return -1
-		}
-		return 1
-	})
+	e.events.Push(o.Autoscaler.Interval, event{kind: evTick})
+	if e.events.Seq() != setupSeq || e.events.Len() != setupLen {
+		t.Fatalf("refill left sequence %d and %d events, newEngine %d and %d", e.events.Seq(), e.events.Len(), setupSeq, setupLen)
+	}
 	e.pickHead()
 
 	// The reference: every arrival pushed in request order (sequence =
 	// request index), then the tick, as newEngine once did.
-	var ref eventHeap[event]
+	var ref eventq.Queue[event]
 	closed := 0
 	for ri := range e.reqs {
 		if e.reqs[ri].client >= 0 {
@@ -61,8 +66,8 @@ func TestArrivalMergeMatchesOneHeap(t *testing.T) {
 		ref.Push(e.reqs[ri].arrive, event{kind: evArrive, ref: ri})
 	}
 	ref.Push(o.Autoscaler.Interval, event{kind: evTick})
-	if e.events.seq != ref.seq {
-		t.Fatalf("engine sequence counter %d after setup, reference %d", e.events.seq, ref.seq)
+	if e.events.Seq() != ref.Seq() {
+		t.Fatalf("engine sequence counter %d after setup, reference %d", e.events.Seq(), ref.Seq())
 	}
 	if got, want := e.events.Len(), closed+1; got != want {
 		t.Fatalf("heap holds %d events after setup, want %d (closed-loop arrivals + tick)", got, want)
@@ -95,8 +100,8 @@ func TestArrivalMergeMatchesOneHeap(t *testing.T) {
 			ref.Push(next, ev)
 			pushes++
 		}
-		if e.events.seq != ref.seq {
-			t.Fatalf("pop %d: engine sequence counter %d, reference %d", popped, e.events.seq, ref.seq)
+		if e.events.Seq() != ref.Seq() {
+			t.Fatalf("pop %d: engine sequence counter %d, reference %d", popped, e.events.Seq(), ref.Seq())
 		}
 	}
 	if ties < len(e.reqs)/2 {
@@ -129,10 +134,55 @@ func TestEventHeapHoldsInFlightWork(t *testing.T) {
 			bound += p.peak * (1 + int(math.Ceil(p.prof.Latency.Ratio(p.prof.Period))))
 		}
 	}
-	if e.events.high > bound {
-		t.Fatalf("event heap high-water mark %d above the in-flight bound %d", e.events.high, bound)
+	if e.events.High() > bound {
+		t.Fatalf("event heap high-water mark %d above the in-flight bound %d", e.events.High(), bound)
 	}
 	if 10*bound > r.Offered {
 		t.Fatalf("in-flight bound %d is not far below the %d offered requests; the test no longer separates the designs", bound, r.Offered)
+	}
+}
+
+// TestIdleReplicasPopLowest pins the idle set's lowest-index-first
+// order: replicas returned out of order, a scale-up's fresh replica
+// (the highest index, used last) and the autoscaler's scale-down, which
+// retires the lowest idle replica at once.
+func TestIdleReplicasPopLowest(t *testing.T) {
+	o := Options{
+		Tenants:    []Tenant{{Name: "a", Deadline: 10, Rate: 1}},
+		Autoscaler: AutoscalerOptions{Enabled: true, MaxReplicas: 8},
+	}
+	o.fill()
+	prof := Profile{Latency: 1, Period: 1}
+	e := newEngine(o, []node{{pools: []pool{newPool(prof, 4, false, &o.Autoscaler)}}})
+	p := &e.nodes[0].pools[0]
+	check := func(step string, want ...int) {
+		t.Helper()
+		if !slices.Equal(p.idle, want) {
+			t.Fatalf("%s: idle set %v, want %v", step, p.idle, want)
+		}
+	}
+	check("new pool", 3, 2, 1, 0)
+	for want := 0; want < 3; want++ {
+		if got := p.idle.Pop(); got != want {
+			t.Fatalf("pop %d: replica %d, want the lowest idle %d", want, got, want)
+		}
+	}
+	p.idle.Push(2)
+	p.idle.Push(0)
+	p.idle.Push(1)
+	check("returned out of order", 3, 2, 1, 0)
+
+	e.scale(0, 0, 5, 0)
+	check("scale-up", 4, 3, 2, 1, 0)
+	e.scale(0, 0, 4, 1)
+	check("scale-down retires the lowest", 4, 3, 2, 1)
+	if p.live != 4 {
+		t.Fatalf("live %d after the scale-down, want 4", p.live)
+	}
+	p.idle.Push(0)
+	for want := 0; want < 5; want++ {
+		if got := p.idle.Pop(); got != want {
+			t.Fatalf("drain %d: replica %d, want %d", want, got, want)
+		}
 	}
 }

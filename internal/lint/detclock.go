@@ -7,8 +7,9 @@ import (
 )
 
 // DetClock forbids wall-clock reads and global (unseeded) math/rand state
-// in the deterministic core: internal/sim, internal/sched/...,
-// internal/cost, internal/profile, internal/randdag and internal/mpi.
+// in the deterministic core: internal/sim, internal/eventq,
+// internal/sched/..., internal/cost, internal/profile, internal/randdag,
+// internal/mpi and internal/cluster.
 // Those packages define the reproducible half of the system — the same
 // graph, cost model and seed must yield byte-identical schedules and
 // simulated timelines — so time and randomness may only enter through
@@ -53,7 +54,7 @@ var detClockForbidden = map[string]map[string]bool{
 }
 
 func runDetClock(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/sim", "internal/sched", "internal/cost", "internal/profile", "internal/randdag", "internal/mpi", "internal/cluster", "cmd") {
+	if !inScope(pass.Path, "internal/sim", "internal/eventq", "internal/sched", "internal/cost", "internal/profile", "internal/randdag", "internal/mpi", "internal/cluster", "cmd") {
 		return nil
 	}
 	for _, f := range pass.Files {

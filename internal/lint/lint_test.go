@@ -57,6 +57,18 @@ func TestMemoScope(t *testing.T) {
 	linttest.Run(t, lint.FloatCmp, "testdata/floatcmp", pkg)
 }
 
+// internal/eventq holds the (time, sequence) queue both event engines
+// pop from, so the determinism and unit checks covering sim and cluster
+// must cover it too. Removing it from a scope fails the unmatched want
+// comments here.
+func TestEventQScope(t *testing.T) {
+	const pkg = lint.ModulePath + "/internal/eventq/fixture"
+	linttest.Run(t, lint.DetClock, "testdata/detclock", pkg)
+	linttest.Run(t, lint.FloatCmp, "testdata/floatcmp", pkg)
+	linttest.Run(t, lint.MapOrder, "testdata/maporder", pkg)
+	linttest.Run(t, lint.UnitFlow, "testdata/unitflow", pkg)
+}
+
 func TestPubAPI(t *testing.T) {
 	linttest.Run(t, lint.PubAPI, "testdata/pubapi", lint.ModulePath+"/cmd/fixture")
 }
@@ -233,7 +245,7 @@ func TestSuiteListsAllAnalyzers(t *testing.T) {
 // decision that has to touch this table, not something that slips in.
 func TestSuppressionBudget(t *testing.T) {
 	want := map[string]int{
-		"floatexact": 12, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, queue-point dedupe
+		"floatexact": 10, // comparator tie-breaks, unset-option sentinels, 0-vs-0 benchmark baselines, queue-point dedupe
 		"seedflow":   3,  // ios dp.go zobrist splitmix64 stream constants
 		"locksafe":   0,  // none: profile.Export sizes its snapshot outside the lock
 		"hotpath":    9,  // scheduler and serving entry-point roots (propagation covers the rest)

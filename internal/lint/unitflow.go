@@ -43,7 +43,7 @@ var UnitFlow = &analysis.Analyzer{
 // units.Millis/Bytes/FLOPs value is produced or consumed.
 var unitflowScope = []string{
 	"internal/gpu", "internal/cost", "internal/costcache", "internal/profile",
-	"internal/model", "internal/sched", "internal/sim", "internal/pipeline",
+	"internal/model", "internal/sched", "internal/sim", "internal/eventq", "internal/pipeline",
 	"internal/trace", "internal/memory", "internal/runtime",
 	"internal/experiments", "internal/cluster",
 	"internal/specflag", "cmd",

@@ -185,13 +185,8 @@ func Blocks(g *graph.Graph) [][]graph.OpID {
 		idx := sort.Search(len(sepPos), func(i int) bool { return sepPos[i] > p }) - 1
 		blocks[first+idx] = append(blocks[first+idx], v)
 	}
-	// Drop any empty block (can happen when consecutive separators are
-	// adjacent) — none should be empty by construction, but be safe.
-	out := blocks[:0]
-	for _, b := range blocks {
-		if len(b) > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
+	// No block is empty: each separator lands in its own block, and the
+	// leading block exists only when an operator precedes the first
+	// separator.
+	return blocks
 }

@@ -31,6 +31,29 @@ func diamond(t *testing.T) *graph.Graph {
 	return g
 }
 
+// checkPartition asserts that blocks partition g's operators into
+// non-empty blocks.
+func checkPartition(t *testing.T, g *graph.Graph, blocks [][]graph.OpID) {
+	t.Helper()
+	seen := make([]bool, g.NumOps())
+	n := 0
+	for bi, b := range blocks {
+		if len(b) == 0 {
+			t.Fatalf("block %d of %v is empty", bi, blocks)
+		}
+		for _, v := range b {
+			if seen[v] {
+				t.Fatalf("operator %d in two blocks of %v", v, blocks)
+			}
+			seen[v] = true
+			n++
+		}
+	}
+	if n != g.NumOps() {
+		t.Fatalf("blocks %v cover %d of %d operators", blocks, n, g.NumOps())
+	}
+}
+
 func TestBlocksChain(t *testing.T) {
 	g := graph.New(4, 3)
 	for i := 0; i < 4; i++ {
@@ -43,6 +66,30 @@ func TestBlocksChain(t *testing.T) {
 	blocks := Blocks(g)
 	if len(blocks) != 4 {
 		t.Fatalf("chain should split into 4 blocks, got %v", blocks)
+	}
+	checkPartition(t, g, blocks)
+
+	// Two sources joining a chain: a leading block before the first
+	// separator, then one block per separator.
+	g = graph.New(4, 3)
+	for i := 0; i < 4; i++ {
+		g.AddOp(graph.Op{Time: 1})
+	}
+	g.AddEdge(0, 2, 0)
+	g.AddEdge(1, 2, 0)
+	g.AddEdge(2, 3, 0)
+	g.MustFinalize()
+	blocks = Blocks(g)
+	if len(blocks) != 3 || len(blocks[0]) != 2 {
+		t.Fatalf("join blocks = %v, want [[0 1] [2] [3]] up to order", blocks)
+	}
+	checkPartition(t, g, blocks)
+
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := randdag.Paper()
+		cfg.Seed = seed
+		g := randdag.MustGenerate(cfg)
+		checkPartition(t, g, Blocks(g))
 	}
 }
 
@@ -59,6 +106,7 @@ func TestBlocksDiamond(t *testing.T) {
 	if len(blocks[1]) != 1 || blocks[1][0] != 3 {
 		t.Fatalf("second block = %v, want [d]", blocks[1])
 	}
+	checkPartition(t, g, blocks)
 }
 
 func TestBlocksNoSeparator(t *testing.T) {
@@ -71,6 +119,7 @@ func TestBlocksNoSeparator(t *testing.T) {
 	if len(blocks) != 1 || len(blocks[0]) != 2 {
 		t.Fatalf("blocks = %v, want one block of 2", blocks)
 	}
+	checkPartition(t, g, blocks)
 }
 
 func TestDiamondFusesBranches(t *testing.T) {
