@@ -279,6 +279,7 @@ func TestLedgerBoundInventory(t *testing.T) {
 		"preprune":    {[]string{x + "SchedulerIOS", x + "SweepFig10FullWidth", x + "SweepFig10Width1"}, 0.5, 0.6},
 		"prelean":     {[]string{x + "SchedulerLP", x + "SchedulerMR", x + "WindowRefine"}, 0, 0.2},
 		"preprofmemo": {[]string{x + "SchedulerIOSNASNetProfiled", "internal/profile.BenchmarkStageTimeMiss"}, 0.85, 1.15},
+		"prereach":    {[]string{"internal/sched/ios.BenchmarkSolveNASNetCold"}, 0.85, 1.15},
 	}
 	if l.DefaultBound != (bound{Vs: "seed", Ns: 1.25, Allocs: 1.15}) {
 		t.Errorf("default bound = %+v", l.DefaultBound)
@@ -301,10 +302,11 @@ func TestLedgerBoundInventory(t *testing.T) {
 			got[b.Vs] = append(got[b.Vs], name)
 		}
 	}
-	// The two preprofmemo entries were never measured at seed, and
-	// eventq's BenchmarkQueuePushPop is report-only.
-	if seeded != 50 || len(l.Benchmarks) != 53 {
-		t.Errorf("%d of %d entries carry the seed bound, want 50 of 53", seeded, len(l.Benchmarks))
+	// The two preprofmemo entries and the prereach entry were never
+	// measured at seed, and eventq's BenchmarkQueuePushPop is
+	// report-only.
+	if seeded != 50 || len(l.Benchmarks) != 54 {
+		t.Errorf("%d of %d entries carry the seed bound, want 50 of 54", seeded, len(l.Benchmarks))
 	}
 	for _, cp := range slices.Sorted(maps.Keys(want)) {
 		if !slices.Equal(got[cp], want[cp].benches) {
@@ -380,9 +382,9 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 		}
 	}
 	// 50 seed entries x 2 metrics, 2x2 preincr, 3x2 preprune, 3 prelean,
-	// 2x2 preprofmemo.
-	if checks != 100+4+6+3+4 {
-		t.Errorf("%d bound checks, want 117", checks)
+	// 2x2 preprofmemo, 1x2 prereach.
+	if checks != 100+4+6+3+4+2 {
+		t.Errorf("%d bound checks, want 119", checks)
 	}
 }
 

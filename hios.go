@@ -180,7 +180,8 @@ type Options struct {
 	// Window is the maximum sliding-window size w of the intra-GPU
 	// pass; zero selects the default (4).
 	Window int
-	// IOSMaxStage bounds operators per stage in the IOS DP (0 = 8).
+	// IOSMaxStage bounds operators per stage in the IOS DP (0 = 8);
+	// values above IOSPruneWindow act as IOSPruneWindow.
 	IOSMaxStage int
 	// IOSPruneWindow bounds the IOS frontier enumeration (0 = 8).
 	IOSPruneWindow int

@@ -56,13 +56,15 @@ func init() {
 // A state stores no stage: the enumeration builds every stage in ascending
 // local-index order, so the stage that reached a state is exactly the
 // ascending members of set &^ done[prev].set, which the backtrack reads
-// back once per solve.
+// back once per solve. reach fits the tail padding after inTop, so a
+// state is 88 bytes, and a uint16 holds any reach up to maxBlockOps.
 type dpState struct {
 	set   bitset
 	hash  uint64       // XOR of zobrist keys of the members
 	cost  units.Millis // best known dp[S]
 	prev  int32        // done-slab index of the predecessor (-1 for the start)
 	inTop bool         // has an entry in its bucket's top heap
+	reach uint16       // successor reach (solver.reach), set on expansion
 }
 
 // topEntry is one entry of a bucket's top heap: a state and the cost it
@@ -252,7 +254,16 @@ type stageMemo struct {
 // through methods without per-block closures.
 type solver struct {
 	inBlock []int32 // graph OpID -> local block index, -1 outside
-	preds   [][]int // local intra-block predecessor lists
+
+	// Per-block dependency structure (linkBlock): local intra-block
+	// predecessor lists, each operator's successor top (1 + the highest
+	// local index among its intra-block successors, 0 for none), the
+	// sources (operators with no intra-block predecessor) and the number
+	// of bitset words the block spans.
+	preds   [][]int
+	succTop [maxBlockOps]uint16
+	sources bitset
+	words   int
 
 	ring []pending // pending buckets, slot = count % (MaxStage+1)
 	done []dpState // expanded states, in expansion order
@@ -592,8 +603,6 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	for i, v := range block {
 		s.inBlock[v] = int32(i)
 	}
-	// Local predecessor lists (only intra-block edges constrain the DP;
-	// inter-block inputs come from earlier blocks, already complete).
 	// inBlock entries are restored to -1 before returning so the next
 	// block (or the next graph) starts clean.
 	defer func() {
@@ -601,18 +610,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			s.inBlock[v] = -1
 		}
 	}()
-	// The collect callback is created once for the whole block sweep; li
-	// carries the current local index into it.
-	var li int
-	collect := func(u graph.OpID, _ float64) {
-		if j := s.inBlock[u]; j >= 0 {
-			s.preds[li] = append(s.preds[li], int(j))
-		}
-	}
-	for i, v := range block {
-		li = i
-		g.Preds(v, collect)
-	}
+	s.linkBlock(g, block)
 	beam := opt.Beam
 	if b <= opt.ExactLimit {
 		beam = 0 // exact within small blocks
@@ -666,7 +664,11 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 				si = kept[k]
 			}
 			st := &pd.states[si]
-			s.front = frontierOf(st.set, s.preds[:b], b, s.front[:0])
+			if st.prev >= 0 {
+				p := &s.done[st.prev]
+				st.reach = s.reach(&st.set, &p.set, p.reach)
+			}
+			s.front = s.frontier(&st.set, st.reach, opt.PruneWindow, s.front[:0])
 			if len(s.front) == 0 {
 				return nil, fmt.Errorf("ios: empty frontier with %d/%d scheduled (cyclic block?)", c, b)
 			}
@@ -678,14 +680,10 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			s.curCost, s.curDone, s.curSlot = st.cost, di, slot
 			s.nset = st.set
 			s.nhash, s.curHash = st.hash, st.hash
-			fr := s.front
-			if len(fr) > opt.PruneWindow {
-				fr = fr[:opt.PruneWindow]
-			}
 			if fast {
-				s.enumFast(fr, 0, 0, 0, 0)
+				s.enumFast(s.front, 0, 0, 0, 0)
 			} else {
-				s.enumGeneric(fr, 0)
+				s.enumGeneric(s.front, 0)
 			}
 		}
 		pd.recycle()
@@ -747,23 +745,85 @@ func less(a, b bitset) bool {
 	return false
 }
 
-// frontierOf appends to out the local indices whose intra-block
-// predecessors are all members of set and which are not members
-// themselves, in block (descending-priority) order.
-func frontierOf(set bitset, preds [][]int, b int, out []int) []int {
-	for i := 0; i < b; i++ {
-		if set.has(i) {
-			continue
+// linkBlock builds the per-block dependency structure over the local
+// indices in inBlock: only intra-block edges constrain the DP (inter-block
+// inputs come from earlier blocks, already complete). The collect
+// callback is created once for the whole block sweep; li carries the
+// current local index into it.
+func (s *solver) linkBlock(g *graph.Graph, block []graph.OpID) {
+	s.succTop = [maxBlockOps]uint16{}
+	s.sources = bitset{}
+	s.words = (len(block) + 63) / 64
+	var li int
+	collect := func(u graph.OpID, _ float64) {
+		if j := s.inBlock[u]; j >= 0 {
+			s.preds[li] = append(s.preds[li], int(j))
+			s.succTop[j] = max(s.succTop[j], uint16(li+1))
 		}
-		ready := true
-		for _, p := range preds[i] {
-			if !set.has(p) {
-				ready = false
-				break
+	}
+	for i, v := range block {
+		li = i
+		g.Preds(v, collect)
+		if len(s.preds[i]) == 0 {
+			s.sources.set(i)
+		}
+	}
+}
+
+// reach returns the successor reach of set, the largest succTop among its
+// members, given the reach of base, a subset of set: only the members of
+// set &^ base are folded in. An expanding state passes its predecessor,
+// so at most MaxStage members are read.
+func (s *solver) reach(set, base *bitset, baseReach uint16) uint16 {
+	r := baseReach
+	for w := range set {
+		if w == s.words {
+			break
+		}
+		for x := set[w] &^ base[w]; x != 0; x &= x - 1 {
+			r = max(r, s.succTop[w*64+bits.TrailingZeros64(x)])
+		}
+	}
+	return r
+}
+
+// frontier appends to out, in ascending local-index (descending-priority)
+// order, the operators whose intra-block predecessors are all members of
+// set and which are not members themselves, stopping once out holds limit
+// of them: the candidates of the stage enumeration. reach is set's
+// successor reach. An operator with an intra-block predecessor can only
+// be ready as the successor of a member, so its index is below reach; one
+// without is a source. The scan therefore visits just the non-members
+// among the sources and below reach, word by word, and never the finished
+// prefix or the unreachable tail of the block.
+func (s *solver) frontier(set *bitset, reach uint16, limit int, out []int) []int {
+	r := int(reach)
+	for w := range set {
+		if w == s.words {
+			break
+		}
+		// below holds the word's bits under reach. A shift by 64 or more
+		// yields 0, so a word wholly under reach is all ones.
+		lo := w * 64
+		var below uint64
+		if r > lo {
+			below = 1<<uint(r-lo) - 1
+		}
+		for x := (s.sources[w] | below) &^ set[w]; x != 0; x &= x - 1 {
+			i := lo + bits.TrailingZeros64(x)
+			ready := true
+			for _, p := range s.preds[i] {
+				if !set.has(p) {
+					ready = false
+					break
+				}
 			}
-		}
-		if ready {
-			out = append(out, i)
+			if ready {
+				out = append(out, i)
+				if len(out) == limit {
+					return out
+				}
+			}
 		}
 	}
 	return out

@@ -42,7 +42,9 @@ import (
 // Options configures the IOS dynamic program.
 type Options struct {
 	// MaxStage bounds the number of operators per stage (the paper's
-	// max number of concurrent CUDA streams). Zero means 8.
+	// max number of concurrent CUDA streams). Zero means 8. A stage is
+	// drawn from at most PruneWindow operators, so a larger value acts
+	// as PruneWindow.
 	MaxStage int
 	// PruneWindow bounds how many frontier operators are considered
 	// when enumerating candidate stages. Zero means 8.
@@ -82,6 +84,11 @@ func (o *Options) fill() {
 	if o.Beam == 0 {
 		o.Beam = 32
 	}
+	// A stage is drawn from at most PruneWindow frontier operators of a
+	// block of at most maxBlockOps, so a wider MaxStage admits no other
+	// stage; capping it keeps the pending ring (MaxStage+1 buckets) sized
+	// by what a stage can hold.
+	o.MaxStage = min(o.MaxStage, o.PruneWindow, maxBlockOps)
 }
 
 // Schedule runs IOS on g under cost model m and returns the single-GPU
