@@ -1,11 +1,12 @@
 // Command hios-benchdiff checks `go test -bench` output against the
 // benchmark ledger, BENCH_ledger.json at the repository root.
 //
-// The ledger gives each tracked benchmark its ns/op and allocs/op at
-// named checkpoints and the bounds it must stay within. A bound caps the
-// ratio of a reading to one checkpoint's value — ratios, because CI
-// runners differ in absolute speed while allocation counts and relative
-// regressions are stable. The ledger's default_bound covers every entry
+// The ledger gives each tracked benchmark its ns/op and allocs/op (and,
+// where a bound needs it, B/op) at named checkpoints and the bounds it
+// must stay within. A bound caps the ratio of a reading to one
+// checkpoint's value — ratios, because CI runners differ in absolute
+// speed while allocation counts, allocated bytes and relative regressions
+// are stable. The ledger's default_bound covers every entry
 // with a value at its checkpoint; an entry's own bounds lock specific wins.
 //
 //	go test -bench=. -benchtime=100ms -benchmem ./... | tee bench.txt
@@ -40,11 +41,13 @@ import (
 // "internal/...Benchmark..."; the root package keeps its full path.
 const modulePrefix = "github.com/shus-lab/hios/"
 
-// measure is one benchmark's numbers. AllocsPerOp is a pointer so output
-// recorded without -benchmem stays absent rather than zero.
+// measure is one benchmark's numbers. AllocsPerOp and BytesPerOp are
+// pointers so output recorded without -benchmem stays absent rather than
+// zero.
 type measure struct {
 	NsPerOp     float64  `json:"ns_per_op"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 }
 
 // bound caps the ratios of a reading to the value at checkpoint Vs; a
@@ -53,6 +56,7 @@ type bound struct {
 	Vs     string  `json:"vs"`
 	Ns     float64 `json:"ns,omitempty"`
 	Allocs float64 `json:"allocs,omitempty"`
+	Bytes  float64 `json:"bytes,omitempty"`
 }
 
 type benchmark struct {
@@ -199,8 +203,8 @@ func parse(name, text string) (input, error) {
 	return in, nil
 }
 
-// parseMeasurements extracts ns/op and allocs/op from the tail of a
-// benchmark line ("342293352 ns/op  196751680 B/op  4667 allocs/op").
+// parseMeasurements extracts ns/op, B/op and allocs/op from the tail of
+// a benchmark line ("342293352 ns/op  196751680 B/op  4667 allocs/op").
 func parseMeasurements(tail string) (measure, bool) {
 	fields := strings.Fields(tail)
 	var m measure
@@ -215,6 +219,8 @@ func parseMeasurements(tail string) (measure, bool) {
 			m.NsPerOp, seen = v, true
 		case "allocs/op":
 			m.AllocsPerOp = &v
+		case "B/op":
+			m.BytesPerOp = &v
 		}
 	}
 	return m, seen
@@ -260,14 +266,14 @@ func readingProcs(inputs []input) []int {
 
 // row is one reading checked against one bound or, with input
 // "(no reading)", a bounded metric that no reading checked. The allocs
-// ratio is NaN where either side lacks allocs/op. A bound against a
-// checkpoint the entry has no value at fails: ns rises from zero and
-// allocs goes unchecked.
+// and bytes ratios are NaN where either side lacks allocs/op or B/op. A
+// bound against a checkpoint the entry has no value at fails: ns rises
+// from zero and allocs and bytes go unchecked.
 type row struct {
-	bench, input       string
-	b                  bound
-	ns, allocs         float64
-	nsFail, allocsFail bool
+	bench, input                  string
+	b                             bound
+	ns, allocs, bytes             float64
+	nsFail, allocsFail, bytesFail bool
 }
 
 // bounds returns the bounds entry e is checked against: the default
@@ -285,24 +291,31 @@ func check(l *ledger, inputs []input) []row {
 		e := l.Benchmarks[name]
 		for _, b := range l.bounds(e) {
 			base := e.History[b.Vs]
-			nsSeen, allocsSeen := false, false
+			nsSeen, allocsSeen, bytesSeen := false, false, false
 			for _, in := range inputs {
 				r, ok := in.readings[name]
 				if !ok {
 					continue
 				}
-				rw := row{bench: name, input: in.name, b: b, ns: ratio(r.NsPerOp, base.NsPerOp), allocs: math.NaN()}
+				rw := row{bench: name, input: in.name, b: b, ns: ratio(r.NsPerOp, base.NsPerOp), allocs: math.NaN(), bytes: math.NaN()}
 				if r.AllocsPerOp != nil && base.AllocsPerOp != nil {
 					rw.allocs = ratio(*r.AllocsPerOp, *base.AllocsPerOp)
 					allocsSeen = true
 				}
+				if r.BytesPerOp != nil && base.BytesPerOp != nil {
+					rw.bytes = ratio(*r.BytesPerOp, *base.BytesPerOp)
+					bytesSeen = true
+				}
 				nsSeen = true
 				rw.nsFail = b.Ns > 0 && rw.ns > b.Ns
 				rw.allocsFail = b.Allocs > 0 && rw.allocs > b.Allocs
+				rw.bytesFail = b.Bytes > 0 && rw.bytes > b.Bytes
 				rows = append(rows, rw)
 			}
-			if missNs, missAllocs := b.Ns > 0 && !nsSeen, b.Allocs > 0 && !allocsSeen; missNs || missAllocs {
-				rows = append(rows, row{bench: name, input: "(no reading)", b: b, ns: math.NaN(), allocs: math.NaN(), nsFail: missNs, allocsFail: missAllocs})
+			missNs, missAllocs, missBytes := b.Ns > 0 && !nsSeen, b.Allocs > 0 && !allocsSeen, b.Bytes > 0 && !bytesSeen
+			if missNs || missAllocs || missBytes {
+				rows = append(rows, row{bench: name, input: "(no reading)", b: b, ns: math.NaN(), allocs: math.NaN(), bytes: math.NaN(),
+					nsFail: missNs, allocsFail: missAllocs, bytesFail: missBytes})
 			}
 		}
 	}
@@ -338,7 +351,7 @@ func report(w io.Writer, l *ledger, inputs []input, rows []row) (failed bool) {
 	}
 	violations := 0
 	for _, cp := range cps {
-		fmt.Fprintf(w, "\n%4s %-56s %-16s %-14s %s\n", "", "vs "+cp, "input", "ns ratio", "allocs ratio")
+		fmt.Fprintf(w, "\n%4s %-56s %-16s %-14s %-14s %s\n", "", "vs "+cp, "input", "ns ratio", "allocs ratio", "bytes ratio")
 		var nsLog, allocsLog float64
 		nsN, allocsN := 0, 0
 		for _, r := range rows {
@@ -346,11 +359,12 @@ func report(w io.Writer, l *ledger, inputs []input, rows []row) (failed bool) {
 				continue
 			}
 			verdict := ""
-			if r.nsFail || r.allocsFail {
+			if r.nsFail || r.allocsFail || r.bytesFail {
 				violations++
 				verdict = "FAIL"
 			}
-			fmt.Fprintf(w, "%4s %-56s %-16s %-14s %s\n", verdict, r.bench, r.input, cell(r.ns, r.b.Ns, r.nsFail), cell(r.allocs, r.b.Allocs, r.allocsFail))
+			fmt.Fprintf(w, "%4s %-56s %-16s %-14s %-14s %s\n", verdict, r.bench, r.input,
+				cell(r.ns, r.b.Ns, r.nsFail), cell(r.allocs, r.b.Allocs, r.allocsFail), cell(r.bytes, r.b.Bytes, r.bytesFail))
 			if r.ns > 0 && !math.IsInf(r.ns, 1) {
 				nsLog += math.Log(r.ns)
 				nsN++

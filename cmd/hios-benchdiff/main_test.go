@@ -13,8 +13,8 @@ import (
 )
 
 // testLedger holds one benchmark per kind of bound: the default bound
-// alone (Seed, Zero, Root), a checkpoint bound on both metrics (Pre) and
-// an allocs-only checkpoint bound (Lean).
+// alone (Seed, Zero, Root), a checkpoint bound on both metrics (Pre), an
+// allocs-only checkpoint bound (Lean) and a bytes-only one (Heavy).
 const testLedger = `{
   "default_bound": {"vs": "seed", "ns": 1.25, "allocs": 1.15},
   "checkpoints": {
@@ -32,14 +32,18 @@ const testLedger = `{
       "history": {"seed": {"ns_per_op": 100, "allocs_per_op": 10}, "lean": {"ns_per_op": 100, "allocs_per_op": 40}},
       "bounds": [{"vs": "lean", "allocs": 0.2}]
     },
+    "internal/experiments.BenchmarkHeavy": {
+      "history": {"pre": {"ns_per_op": 100, "allocs_per_op": 5, "bytes_per_op": 2048}},
+      "bounds": [{"vs": "pre", "bytes": 0.5}]
+    },
     "internal/graph.BenchmarkZero": {"history": {"seed": {"ns_per_op": 3, "allocs_per_op": 0}}},
     "github.com/shus-lab/hios.BenchmarkRoot": {"history": {"seed": {"ns_per_op": 1000, "allocs_per_op": 5}}}
   }
 }`
 
 // benchOutput renders `go test -bench` output at GOMAXPROCS 2 for the
-// given ledger key -> {ns/op, allocs/op} readings.
-func benchOutput(readings map[string][2]float64) string {
+// given ledger key -> {ns/op, allocs/op, B/op} readings.
+func benchOutput(readings map[string][3]float64) string {
 	var b strings.Builder
 	b.WriteString("goos: linux\ngoarch: amd64\n")
 	for _, key := range slices.Sorted(maps.Keys(readings)) {
@@ -50,18 +54,19 @@ func benchOutput(readings map[string][2]float64) string {
 		}
 		r := readings[key]
 		fmt.Fprintf(&b, "pkg: %s\ncpu: test\n", pkg)
-		fmt.Fprintf(&b, "%s-2   \t     100\t%12g ns/op\t     512 B/op\t%8g allocs/op\nPASS\n", key[i+1:], r[0], r[1])
+		fmt.Fprintf(&b, "%s-2   \t     100\t%12g ns/op\t%8g B/op\t%8g allocs/op\nPASS\n", key[i+1:], r[0], r[2], r[1])
 	}
 	return b.String()
 }
 
 // passing reads under every bound of testLedger.
-func passing() map[string][2]float64 {
-	return map[string][2]float64{
-		"internal/experiments.BenchmarkSeed": {100, 10},
-		"internal/experiments.BenchmarkPre":  {90, 5},
-		"internal/experiments.BenchmarkLean": {100, 6},
-		"internal/graph.BenchmarkZero":       {3, 0},
+func passing() map[string][3]float64 {
+	return map[string][3]float64{
+		"internal/experiments.BenchmarkSeed":  {100, 10},
+		"internal/experiments.BenchmarkPre":   {90, 5},
+		"internal/experiments.BenchmarkLean":  {100, 6},
+		"internal/experiments.BenchmarkHeavy": {100, 5, 1000},
+		"internal/graph.BenchmarkZero":        {3, 0},
 		// The root package's pkg: line is the bare module path.
 		"github.com/shus-lab/hios.BenchmarkRoot": {1000, 5},
 	}
@@ -88,6 +93,9 @@ func failures(rows []row) []string {
 		if r.allocsFail {
 			out = append(out, name+" vs "+r.b.Vs+" allocs")
 		}
+		if r.bytesFail {
+			out = append(out, name+" vs "+r.b.Vs+" bytes")
+		}
 	}
 	slices.Sort(out)
 	return out
@@ -97,27 +105,29 @@ func TestCheck(t *testing.T) {
 	l := loadTestLedger(t)
 	cases := []struct {
 		name   string
-		edit   func(map[string][2]float64) // applied to the second input
+		edit   func(map[string][3]float64) // applied to the second input
 		single bool                        // check the edited input alone
 		want   []string
 	}{
-		{name: "under every bound", edit: func(map[string][2]float64) {}},
-		{name: "ns over the default bound", edit: func(m map[string][2]float64) { m["internal/experiments.BenchmarkSeed"] = [2]float64{130, 10} },
+		{name: "under every bound", edit: func(map[string][3]float64) {}},
+		{name: "ns over the default bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkSeed"] = [3]float64{130, 10} },
 			want: []string{"BenchmarkSeed vs seed ns"}},
-		{name: "allocs over the default bound", edit: func(m map[string][2]float64) { m["internal/experiments.BenchmarkSeed"] = [2]float64{100, 12} },
+		{name: "allocs over the default bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkSeed"] = [3]float64{100, 12} },
 			want: []string{"BenchmarkSeed vs seed allocs"}},
-		{name: "ns over a checkpoint bound", edit: func(m map[string][2]float64) { m["internal/experiments.BenchmarkPre"] = [2]float64{110, 5} },
+		{name: "ns over a checkpoint bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkPre"] = [3]float64{110, 5} },
 			want: []string{"BenchmarkPre vs pre ns"}},
-		{name: "allocs over a checkpoint bound", edit: func(m map[string][2]float64) { m["internal/experiments.BenchmarkPre"] = [2]float64{90, 7} },
+		{name: "allocs over a checkpoint bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkPre"] = [3]float64{90, 7} },
 			want: []string{"BenchmarkPre vs pre allocs"}},
-		{name: "allocs over an allocs-only bound", edit: func(m map[string][2]float64) { m["internal/experiments.BenchmarkLean"] = [2]float64{100, 9} },
+		{name: "allocs over an allocs-only bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkLean"] = [3]float64{100, 9} },
 			want: []string{"BenchmarkLean vs lean allocs"}},
-		{name: "rise from a zero-alloc baseline", edit: func(m map[string][2]float64) { m["internal/graph.BenchmarkZero"] = [2]float64{3, 1} },
+		{name: "bytes over a bytes-only bound", edit: func(m map[string][3]float64) { m["internal/experiments.BenchmarkHeavy"] = [3]float64{100, 5, 1100} },
+			want: []string{"BenchmarkHeavy vs pre bytes"}},
+		{name: "rise from a zero-alloc baseline", edit: func(m map[string][3]float64) { m["internal/graph.BenchmarkZero"] = [3]float64{3, 1} },
 			want: []string{"BenchmarkZero vs seed allocs"}},
-		{name: "root-package key", edit: func(m map[string][2]float64) { m["github.com/shus-lab/hios.BenchmarkRoot"] = [2]float64{2000, 5} },
+		{name: "root-package key", edit: func(m map[string][3]float64) { m["github.com/shus-lab/hios.BenchmarkRoot"] = [3]float64{2000, 5} },
 			want: []string{"BenchmarkRoot vs seed ns"}},
-		{name: "reading in another input still checks the bound", edit: func(m map[string][2]float64) { delete(m, "internal/experiments.BenchmarkPre") }},
-		{name: "missing reading", single: true, edit: func(m map[string][2]float64) { delete(m, "internal/experiments.BenchmarkPre") },
+		{name: "reading in another input still checks the bound", edit: func(m map[string][3]float64) { delete(m, "internal/experiments.BenchmarkPre") }},
+		{name: "missing reading", single: true, edit: func(m map[string][3]float64) { delete(m, "internal/experiments.BenchmarkPre") },
 			want: []string{"BenchmarkPre vs pre allocs", "BenchmarkPre vs pre ns", "BenchmarkPre vs seed allocs", "BenchmarkPre vs seed ns"}},
 	}
 	for _, tc := range cases {
@@ -125,7 +135,7 @@ func TestCheck(t *testing.T) {
 			edited := passing()
 			tc.edit(edited)
 			var inputs []input
-			for i, readings := range []map[string][2]float64{passing(), edited} {
+			for i, readings := range []map[string][3]float64{passing(), edited} {
 				if tc.single && i == 0 {
 					continue
 				}
@@ -153,8 +163,8 @@ func TestReportListsUnbounded(t *testing.T) {
 	l := loadTestLedger(t)
 	l.Benchmarks["internal/eventq.BenchmarkNoted"] = benchmark{Note: "report-only", History: map[string]measure{}}
 	readings := passing()
-	readings["internal/eventq.BenchmarkNoted"] = [2]float64{85, 0}
-	readings["internal/eventq.BenchmarkUntracked"] = [2]float64{95, 0}
+	readings["internal/eventq.BenchmarkNoted"] = [3]float64{85, 0}
+	readings["internal/eventq.BenchmarkUntracked"] = [3]float64{95, 0}
 	in, err := parse("bench.txt", benchOutput(readings))
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +233,11 @@ func writeFile(t *testing.T, name, data string) string {
 
 func TestRecordLaterInputWins(t *testing.T) {
 	path := writeFile(t, "ledger.json", testLedger)
-	full := writeFile(t, "bench.txt", benchOutput(map[string][2]float64{
+	full := writeFile(t, "bench.txt", benchOutput(map[string][3]float64{
 		"internal/experiments.BenchmarkSeed": {90, 9},
 		"internal/experiments.BenchmarkNew":  {50, 1},
 	}))
-	gate := writeFile(t, "bench_gate.txt", benchOutput(map[string][2]float64{
+	gate := writeFile(t, "bench_gate.txt", benchOutput(map[string][3]float64{
 		"internal/experiments.BenchmarkSeed": {80, 8},
 	}))
 	if _, err := run(path, "seed", []string{full, gate}); err != nil {
@@ -272,14 +282,15 @@ func TestLedgerBoundInventory(t *testing.T) {
 	}
 	const x = "internal/experiments.Benchmark"
 	want := map[string]struct {
-		benches    []string
-		ns, allocs float64
+		benches           []string
+		ns, allocs, bytes float64
 	}{
-		"preincr":     {[]string{x + "SchedulerHIOSLP4GPUs", x + "WindowRefine"}, 0.5, 1.3},
-		"preprune":    {[]string{x + "SchedulerIOS", x + "SweepFig10FullWidth", x + "SweepFig10Width1"}, 0.5, 0.6},
-		"prelean":     {[]string{x + "SchedulerLP", x + "SchedulerMR", x + "WindowRefine"}, 0, 0.2},
-		"preprofmemo": {[]string{x + "SchedulerIOSNASNetProfiled", "internal/profile.BenchmarkStageTimeMiss"}, 0.85, 1.15},
-		"prereach":    {[]string{"internal/sched/ios.BenchmarkSolveNASNetCold"}, 0.85, 1.15},
+		"preincr":     {[]string{x + "SchedulerHIOSLP4GPUs", x + "WindowRefine"}, 0.5, 1.3, 0},
+		"preprune":    {[]string{x + "SchedulerIOS", x + "SweepFig10FullWidth", x + "SweepFig10Width1"}, 0.5, 0.6, 0},
+		"prelean":     {[]string{x + "SchedulerLP", x + "SchedulerMR", x + "WindowRefine"}, 0, 0.2, 0},
+		"preprofmemo": {[]string{x + "SchedulerIOSNASNetProfiled", "internal/profile.BenchmarkStageTimeMiss"}, 0.85, 1.15, 0},
+		"prereach":    {[]string{"internal/sched/ios.BenchmarkSolveNASNetCold"}, 0.85, 1.15, 0},
+		"prebatch":    {[]string{x + "SchedulerIOSNASNetProfiled"}, 0.85, 0, 0.5},
 	}
 	if l.DefaultBound != (bound{Vs: "seed", Ns: 1.25, Allocs: 1.15}) {
 		t.Errorf("default bound = %+v", l.DefaultBound)
@@ -293,7 +304,7 @@ func TestLedgerBoundInventory(t *testing.T) {
 		}
 		for _, b := range e.Bounds {
 			w, ok := want[b.Vs]
-			if !ok || b.Ns != w.ns || b.Allocs != w.allocs {
+			if !ok || b.Ns != w.ns || b.Allocs != w.allocs || b.Bytes != w.bytes {
 				t.Errorf("%s: bound %+v", name, b)
 			}
 			if _, ok := e.History[b.Vs]; !ok {
@@ -303,10 +314,10 @@ func TestLedgerBoundInventory(t *testing.T) {
 		}
 	}
 	// The two preprofmemo entries and the prereach entry were never
-	// measured at seed, and eventq's BenchmarkQueuePushPop is
-	// report-only.
-	if seeded != 50 || len(l.Benchmarks) != 54 {
-		t.Errorf("%d of %d entries carry the seed bound, want 50 of 54", seeded, len(l.Benchmarks))
+	// measured at seed, and eventq's BenchmarkQueuePushPop and the four
+	// costcache and dpcache probe benchmarks are report-only.
+	if seeded != 50 || len(l.Benchmarks) != 58 {
+		t.Errorf("%d of %d entries carry the seed bound, want 50 of 58", seeded, len(l.Benchmarks))
 	}
 	for _, cp := range slices.Sorted(maps.Keys(want)) {
 		if !slices.Equal(got[cp], want[cp].benches) {
@@ -343,11 +354,22 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 	}
 	nsOf := func(m measure, b bound) (float64, float64) { return m.NsPerOp, b.Ns }
 	allocsOf := func(m measure, b bound) (float64, float64) { return *m.AllocsPerOp, b.Allocs }
+	bytesOf := func(m measure, b bound) (float64, float64) {
+		if b.Bytes == 0 {
+			return 0, 0
+		}
+		return *m.BytesPerOp, b.Bytes
+	}
 	base := input{name: "bench.txt", readings: map[string]reading{}}
 	for _, name := range slices.Sorted(maps.Keys(l.Benchmarks)) {
 		e := l.Benchmarks[name]
 		a := 0.99 * limit(e, allocsOf)
-		base.readings[name] = reading{measure{0.99 * limit(e, nsOf), &a}, 1}
+		r := reading{measure{NsPerOp: 0.99 * limit(e, nsOf), AllocsPerOp: &a}, 1}
+		if by := limit(e, bytesOf); by > 0 {
+			by *= 0.99
+			r.BytesPerOp = &by
+		}
+		base.readings[name] = r
 	}
 	if got := failures(check(l, []input{base})); len(got) != 0 {
 		t.Fatalf("readings under every bound fail: %q", got)
@@ -365,6 +387,7 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 			}{
 				{"ns", b.Ns, func(r *measure) { r.NsPerOp = 1.01 * b.Ns * h.NsPerOp }},
 				{"allocs", b.Allocs, func(r *measure) { a := max(1.01*b.Allocs*(*h.AllocsPerOp), 1); r.AllocsPerOp = &a }},
+				{"bytes", b.Bytes, func(r *measure) { by := 1.01 * b.Bytes * (*h.BytesPerOp); r.BytesPerOp = &by }},
 			} {
 				if m.cap == 0 {
 					continue
@@ -382,9 +405,9 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 		}
 	}
 	// 50 seed entries x 2 metrics, 2x2 preincr, 3x2 preprune, 3 prelean,
-	// 2x2 preprofmemo, 1x2 prereach.
-	if checks != 100+4+6+3+4+2 {
-		t.Errorf("%d bound checks, want 119", checks)
+	// 2x2 preprofmemo, 1x2 prereach, 1x2 prebatch (ns and bytes).
+	if checks != 100+4+6+3+4+2+2 {
+		t.Errorf("%d bound checks, want 121", checks)
 	}
 }
 

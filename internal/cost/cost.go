@@ -63,7 +63,7 @@ type Item struct {
 // profile.CostTable and FrozenModel do NOT: their StageTime carries probe
 // accounting (the Fig. 14 profiling-cost experiment) or miss counting,
 // and a fast path that never called StageTime would corrupt the counts.
-// A caller may still skip a REPEATED probe of a MemoModel.
+// A caller may still batch the probes of a MemoModel.
 type ItemModel interface {
 	Model
 	// Contention returns the stage pricing the model folds items with.
@@ -74,25 +74,53 @@ type ItemModel interface {
 	StageItem(v graph.OpID) Item
 }
 
+// MemoWidth is the widest stage a MemoProbe names. It matches the IOS
+// dynamic program's MaxStage default.
+const MemoWidth = 8
+
+// MemoProbe is one first probe of a MemoModel batch: a stage of at most
+// MemoWidth members, named by their positions + 1 in the batch's operator
+// list, ascending and zero-padded, and the price PriceStage returned for
+// it.
+type MemoProbe struct {
+	Members [MemoWidth]uint16
+	Time    units.Millis
+}
+
 // MemoModel is the contract behind the IOS dynamic program's per-block
-// stage memo: a model that memoizes StageTime by member set. An
-// implementation promises, for every operator list S,
+// stage memo: a model that memoizes StageTime by member set and takes a
+// caller's first probes in one batch. A caller keeps its own memo and
 //
-//   - a repeated StageTime on S's member set returns the first call's
-//     value, bit for bit;
-//   - a repeat changes no observable state: no probe count, no simulated
-//     time, nothing a caller can read afterwards.
+//   - prices the first probe of each member set with PriceStage, which
+//     records nothing;
+//   - answers a repeat from its memo, without calling the model;
+//   - hands the first probes, in first-probe order, to CommitStages at
+//     the end of the batch and before any other call to the model, so
+//     a stage wider than MemoWidth flushes the batch before its
+//     StageTime call.
 //
-// So a caller may answer a repeat from its own memo, skip the call, and
-// observe the same results and the same accounting. profile.CostTable
-// implements it: the first probe of each member set is still made, in
-// the same order, so its counts and SimulatedMs are unchanged. Models
-// that observe every call must not implement it: FrozenModel counts each
-// miss, and a probe-recording test model hashes the call sequence.
+// An implementation promises that this sequence returns, bit for bit, the
+// values that calling StageTime on every probe would have returned, and
+// leaves the same observable state: the same probe counts, the same
+// recorded values, the same simulated time, charged in the same order. A
+// stage recorded before the commit keeps its value and is not charged
+// again, as a repeated StageTime would not charge it.
+//
+// PriceStage may skip the recording only when the price is a pure
+// function of the call. profile.CostTable takes that shortcut for an
+// inner ItemModel, whose contract makes it one; any other inner model is
+// priced and recorded through StageTime at once, and CommitStages then
+// finds the batch already recorded. Models that observe every call must
+// not implement MemoModel: FrozenModel counts each miss, and a
+// probe-recording test model hashes the call sequence.
 type MemoModel interface {
 	Model
-	// MemoizesStageTime marks the contract; it does nothing.
-	MemoizesStageTime()
+	// PriceStage returns StageTime(ops) for the first probe of ops'
+	// member set in the caller's batch.
+	PriceStage(ops []graph.OpID) units.Millis
+	// CommitStages records a batch of PriceStage probes in batch order;
+	// each probe's members index ops.
+	CommitStages(ops []graph.OpID, batch []MemoProbe)
 }
 
 // Contention is the concurrent-execution model for one GPU.

@@ -212,9 +212,10 @@ func (m opaqueModel) StageTime(ops []graph.OpID) units.Millis {
 	return m.inner.StageTime(ops)
 }
 
-// callCounter counts the StageTime calls that reach a profiling table.
-// Embedding the table keeps its cost.MemoModel marker, so the DP's stage
-// memo stays on and only the calls it lets through are counted.
+// callCounter counts the stage pricing calls that reach a profiling
+// table: StageTime, and PriceStage, the entry point of the DP's stage
+// memo. Embedding the table keeps it a cost.MemoModel, so the memo stays
+// on and only the calls it lets through are counted.
 type callCounter struct {
 	*profile.CostTable
 	calls int
@@ -223,6 +224,11 @@ type callCounter struct {
 func (m *callCounter) StageTime(ops []graph.OpID) units.Millis {
 	m.calls++
 	return m.CostTable.StageTime(ops)
+}
+
+func (m *callCounter) PriceStage(ops []graph.OpID) units.Millis {
+	m.calls++
+	return m.CostTable.PriceStage(ops)
 }
 
 // nasnetProfiled builds the Fig. 14 IOS workload at its heaviest single
@@ -239,8 +245,8 @@ func nasnetProfiled(b *testing.B) (*graph.Graph, cost.Model) {
 // BenchmarkSchedulerIOSNASNetProfiled is one IOS solve of NASNet-A@1024
 // behind a fresh profiling table per iteration, as MeasureSchedulingCost
 // runs it. It reports the cost per distinct probe (ns/probe) and, from one
-// untimed solve, how many StageTime calls reach the table per distinct
-// probe (calls/probe).
+// untimed solve, how many StageTime or PriceStage calls reach the table
+// per distinct probe (calls/probe).
 func BenchmarkSchedulerIOSNASNetProfiled(b *testing.B) {
 	g, m := nasnetProfiled(b)
 	cc := &callCounter{CostTable: profile.NewTable(m, 0, 0)}

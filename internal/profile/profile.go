@@ -14,8 +14,10 @@ package profile
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -42,6 +44,11 @@ const (
 // readers (every model in internal/cost is: they are pure functions over
 // immutable graph data).
 //
+// The IOS dynamic program probes through the cost.MemoModel batch
+// instead: PriceStage prices a first probe without recording it, and
+// CommitStages records a block's first probes in one write-locked section
+// (DESIGN.md §10).
+//
 // Determinism under concurrency: memoized values and probe counts are
 // exact regardless of interleaving. Only SimulatedMs accumulates in
 // insert order, so a table probed from several goroutines may report
@@ -49,8 +56,16 @@ const (
 // Fig. 14 does) when the exact float matters.
 type CostTable struct {
 	inner   cost.Model
+	pure    cost.ItemModel // inner, when PriceStage may price it without recording
 	warmup  int
 	repeats int
+
+	// ordered is set, in the section that records it, once a stage of
+	// three or more members is recorded. Such a price can depend on the
+	// order its members were passed in (the contention fold sums in call
+	// order), so PriceStage must then return the recorded value rather
+	// than its own. One or two members sum the same in either order.
+	ordered atomic.Bool
 
 	mu     sync.RWMutex // guards every field below
 	ops    map[graph.OpID]units.Millis
@@ -73,8 +88,10 @@ func NewTable(m cost.Model, warmup, repeats int) *CostTable {
 	if repeats <= 0 {
 		repeats = DefaultRepeats
 	}
+	pure, _ := m.(cost.ItemModel)
 	return &CostTable{
 		inner:   m,
+		pure:    pure,
 		warmup:  warmup,
 		repeats: repeats,
 		ops:     make(map[graph.OpID]units.Millis),
@@ -83,9 +100,81 @@ func NewTable(m cost.Model, warmup, repeats int) *CostTable {
 	}
 }
 
-// MemoizesStageTime implements cost.MemoModel: a repeated probe returns
-// the memoized value and changes no count and no simulated time.
-func (t *CostTable) MemoizesStageTime() {}
+// PriceStage implements cost.MemoModel. Over an inner cost.ItemModel, a
+// pure function, it prices ops without recording them, so the caller's
+// CommitStages charges them later in the same order. A stage of three or
+// more members already recorded keeps its recorded price, which another
+// member order may have produced. Over any other inner model it is
+// StageTime.
+func (t *CostTable) PriceStage(ops []graph.OpID) units.Millis {
+	if t.pure == nil {
+		return t.StageTime(ops)
+	}
+	if len(ops) == 1 {
+		return t.pure.OpTime(ops[0])
+	}
+	if len(ops) > 2 && t.ordered.Load() {
+		t.mu.RLock()
+		x, ok := t.stages.lookup(ops)
+		t.mu.RUnlock()
+		if ok {
+			return x
+		}
+	}
+	return t.pure.StageTime(ops)
+}
+
+// CommitStages implements cost.MemoModel: it records the batch's new
+// measurements in batch order and charges each one its simulated
+// profiler time, exactly as StageTime would have on first probe; a stage
+// recorded first by another caller keeps its value and is not charged.
+// A batch at least as large as the stage map gets a map sized for both
+// before the lock is taken, so the one write-locked section copies and
+// inserts without growing it. Over an impure inner model PriceStage has
+// recorded every probe already, and there is nothing to do.
+func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
+	if t.pure == nil || len(batch) == 0 {
+		return
+	}
+	t.mu.RLock()
+	have := len(t.stages.vals)
+	t.mu.RUnlock()
+	var sized map[stageKey]units.Millis
+	if len(batch) >= have {
+		sized = make(map[stageKey]units.Millis, have+len(batch))
+	}
+	var buf [cost.MemoWidth]graph.OpID
+	ordered := false
+	t.mu.Lock()
+	if sized != nil {
+		maps.Copy(sized, t.stages.vals)
+		t.stages.vals = sized
+	}
+	for i := range batch {
+		p := &batch[i]
+		stage := buf[:0]
+		for _, x := range p.Members {
+			if x == 0 {
+				break
+			}
+			stage = append(stage, ops[x-1])
+		}
+		if len(stage) == 1 {
+			store(t, t.ops, stage[0], p.Time)
+			continue
+		}
+		key, ok := inlineKey(stage)
+		if !ok { // an ID past 2^32-2: interned as StageTime would
+			key = t.stages.intern(spillSig(stage))
+		}
+		store(t, t.stages.vals, key, p.Time)
+		ordered = ordered || len(stage) > 2
+	}
+	if ordered {
+		t.ordered.Store(true)
+	}
+	t.mu.Unlock()
+}
 
 // store records x as k's measurement unless a racer stored one first,
 // and returns the value m holds for k afterwards. Only a new measurement
@@ -150,6 +239,9 @@ func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	x = t.inner.StageTime(ops)
 	t.mu.Lock()
 	x = store(t, t.stages.vals, key, x)
+	if len(ops) > 2 && !t.ordered.Load() {
+		t.ordered.Store(true)
+	}
 	t.mu.Unlock()
 	return x
 }
@@ -169,6 +261,7 @@ func (t *CostTable) spilledStageTime(ops []graph.OpID) units.Millis {
 	x = t.inner.StageTime(ops)
 	t.mu.Lock()
 	x = store(t, t.stages.vals, t.stages.intern(sig), x)
+	t.ordered.Store(true)
 	t.mu.Unlock()
 	return x
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
+	"github.com/shus-lab/hios/internal/sched/ios"
 	"github.com/shus-lab/hios/internal/sched/lp"
 	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/units"
@@ -173,24 +175,63 @@ func TestIOSProbesMoreStagesThanLP(t *testing.T) {
 	}
 }
 
+// unitItemModel is unitModel under the cost.ItemModel contract: every
+// operator is one 1 ms item of tiny utilization, so every stage of up to
+// a thousand members folds to exactly 1 ms and CostTable prices its
+// batches without recording them.
+type unitItemModel struct{ unitModel }
+
+func (unitItemModel) Contention() cost.Contention    { return cost.Contention{DefaultUtil: 1e-3} }
+func (unitItemModel) StageItem(graph.OpID) cost.Item { return cost.Item{Time: 1, Util: 1e-3} }
+
+func mustExport(t *testing.T, tab *CostTable) []byte {
+	t.Helper()
+	data, err := tab.Export("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestConcurrentProbesStayExact hammers one table from many goroutines
 // and checks the accounting afterwards: probe counts must equal the
 // distinct probe population (no double-counted misses despite the
 // read-lock fast path), and every memoized value must match the inner
 // model exactly. Meanwhile a second table, priced 1 ms per probe, takes
-// a stream of new probes while Stats snapshots of it are taken: every
-// snapshot must charge exactly its own probe count.
+// a stream of new probes, and a third, priced 1 ms per probe by a pure
+// model, takes the batches of concurrent IOS solves, while Stats
+// snapshots of both are taken: every snapshot must charge exactly its
+// own probe count, and the IOS table must end as one solve alone leaves
+// its table.
 func TestConcurrentProbesStayExact(t *testing.T) {
 	cfg := randdag.Paper()
 	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 40, 5, 80, 5
 	g := randdag.MustGenerate(cfg)
 	inner := cost.FromGraph(g, cost.DefaultContention())
 	tab := NewTable(inner, 1, 1)
-	unit := NewTable(unitModel{}, 1, 1) // 2 ms simulated per probe
+	unit := NewTable(unitModel{}, 1, 1)      // 2 ms simulated per probe
+	batch := NewTable(unitItemModel{}, 1, 1) // likewise, through CommitStages
+	solo := NewTable(unitItemModel{}, 1, 1)
+	iosOpt := ios.Options{Beam: 4}
+	if _, err := ios.Schedule(g, solo, iosOpt); err != nil {
+		t.Fatal(err)
+	}
 
 	n := g.NumOps()
-	const workers, reps = 8, 50
+	const workers, reps, solvers = 8, 50, 4
 	var wg sync.WaitGroup
+	for w := 0; w < solvers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				if _, err := ios.Schedule(g, batch, iosOpt); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -224,11 +265,13 @@ func TestConcurrentProbesStayExact(t *testing.T) {
 				return
 			default:
 			}
-			st := unit.Stats()
-			if want := units.Millis(2 * st.Probes()); st.SimulatedMs != want { //lint:floatexact integer sums are exact
-				t.Errorf("snapshot %+v charges %v ms for %d probes, want %v", st, st.SimulatedMs, st.Probes(), want)
-				snapshots <- taken
-				return
+			for _, tb := range []*CostTable{unit, batch} {
+				st := tb.Stats()
+				if want := units.Millis(2 * st.Probes()); st.SimulatedMs != want { //lint:floatexact integer sums are exact
+					t.Errorf("snapshot %+v charges %v ms for %d probes, want %v", st, st.SimulatedMs, st.Probes(), want)
+					snapshots <- taken
+					return
+				}
 			}
 			taken++
 		}
@@ -240,6 +283,12 @@ func TestConcurrentProbesStayExact(t *testing.T) {
 	}
 	if got, want := unit.Stats().Probes(), 3*(workers/2)*reps*n; got != want {
 		t.Fatalf("unit table probes = %d, want %d", got, want)
+	}
+	if got, want := batch.Stats(), solo.Stats(); got != want { //lint:floatexact integer sums are exact
+		t.Fatalf("concurrent IOS table %+v, one solve alone %+v", got, want)
+	}
+	if got, want := mustExport(t, batch), mustExport(t, solo); !bytes.Equal(got, want) {
+		t.Fatal("concurrent IOS table exports other measurements than one solve alone")
 	}
 
 	st := tab.Stats()

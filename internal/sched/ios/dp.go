@@ -232,26 +232,16 @@ func (p *pending) stateLess(a, b int32) bool {
 }
 
 // stageMemoWidth is the widest stage the per-block stage memo keeps: its
-// key packs one uint16 per member, so an entry is 32 bytes. It matches
-// the MaxStage default; wider stages are priced by a direct call.
-const stageMemoWidth = 8
+// key packs one uint16 per member. It matches the MaxStage default;
+// wider stages are priced by a direct call.
+const stageMemoWidth = cost.MemoWidth
 
-// stageMemo is one entry of the solver's per-block stage-price memo, an
-// open-addressed table indexed by the stage's zobrist hash. The key is
-// each member's local index + 1 in ascending order (the order the DFS
-// builds stages in), zero-padded; epoch names the block the entry
-// belongs to, so starting a block empties the table without touching it.
-type stageMemo struct {
-	key   [stageMemoWidth]uint16
-	epoch uint32
-	t     units.Millis
-}
-
-// solver holds every scratch structure of the block dynamic program so one
-// Schedule call (or one SolveSequence caller) reuses the allocations across
-// blocks. The zero value is ready. Per-block context (the block, the model,
-// the filled options) lives in fields so the enumeration can recurse
-// through methods without per-block closures.
+// solver holds every scratch structure of the block dynamic program, so
+// the blocks of one solve, and the later solves that take it from the
+// solver pool (ios.go), reuse the allocations. The zero value is ready.
+// Per-block context (the block, the model, the filled options) lives in
+// fields so the enumeration can recurse through methods without
+// per-block closures.
 type solver struct {
 	inBlock []int32 // graph OpID -> local block index, -1 outside
 
@@ -283,12 +273,18 @@ type solver struct {
 	topLimit int // top heap size per bucket: Beam+1 in beam mode, else 0
 
 	// Per-block stage-price memo of the generic path, on only for a
-	// cost.MemoModel. skey is the candidate stage's memo key, maintained
-	// beside s.stage; memoFill counts the current epoch's entries.
-	memoOn    bool
-	memo      []stageMemo
-	memoEpoch uint32
-	memoFill  int
+	// cost.MemoModel (mm). memo holds the block's first probes in probe
+	// order, which makes it the batch handed to mm.CommitStages; the
+	// entries before memoDone are committed already. memoIndex is open
+	// addressing over memo (memoSlot); memoEpoch names the current
+	// block's slots, so starting a block empties the index without
+	// touching it. skey is the candidate stage's memo key, maintained
+	// beside s.stage.
+	mm        cost.MemoModel
+	memo      []cost.MemoProbe
+	memoDone  int
+	memoIndex []uint64
+	memoEpoch uint64
 	skey      [stageMemoWidth]uint16
 
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
@@ -437,8 +433,9 @@ func (s *solver) enumFast(fr []int, i int, maxT, work units.Millis, util float64
 // pre-rework DP, which keeps probe-counting models byte-identical. The one
 // exception is opt-in: for a cost.MemoModel (profile.CostTable and the
 // Fig. 14 accounting built on it) a stage of at most stageMemoWidth
-// members is priced once per block, and repeats read the memo — the
-// model promised they would change nothing.
+// members is priced once per block by PriceStage, repeats read the memo,
+// and the block's first probes reach the model in one CommitStages batch
+// — the model promised the same values and the same accounting.
 func (s *solver) enumGeneric(fr []int, i int) {
 	for j := i; j < len(fr); j++ {
 		li := fr[j]
@@ -447,10 +444,14 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.stage = append(s.stage, li)
 		s.probe = append(s.probe, s.block[li])
 		n := len(s.stage)
-		if s.memoOn && n <= stageMemoWidth {
+		switch {
+		case s.mm != nil && n <= stageMemoWidth:
 			s.skey[n-1] = uint16(li + 1)
 			s.transition(s.memoStageTime())
-		} else {
+		case s.mm != nil:
+			s.commitMemo() // the batch precedes this direct call
+			s.transition(s.m.StageTime(s.probe))
+		default:
 			s.transition(s.m.StageTime(s.probe))
 		}
 		if n < s.maxStage && j+1 < len(fr) {
@@ -466,72 +467,94 @@ func (s *solver) enumGeneric(fr []int, i int) {
 	}
 }
 
+// A memoSlot (memoIndex entry) packs the block epoch into bits 48-63,
+// the high 16 bits of the stage's zobrist hash into bits 32-47 and the
+// memo entry's index into bits 0-31. A slot of another epoch is empty,
+// and the hash tag lets a probe skip almost every colliding entry
+// without reading it.
+const (
+	memoEpochShift = 48
+	memoTagShift   = 32
+)
+
 // memoStageTime prices the candidate stage in s.probe once per block:
-// the first probe of a member set calls the model and records the
-// answer, and a repeat reads it back.
+// the first probe of a member set is priced by the model and appended to
+// the batch, and a repeat reads it back.
 func (s *solver) memoStageTime() units.Millis {
 	h := s.nhash ^ s.curHash
-	mask := uint64(len(s.memo) - 1)
+	want := s.memoEpoch<<(memoEpochShift-memoTagShift) | h>>memoEpochShift
+	mask := uint64(len(s.memoIndex) - 1)
 	i := h & mask
-	for ; s.memo[i].epoch == s.memoEpoch; i = (i + 1) & mask {
-		if s.memo[i].key == s.skey {
-			return s.memo[i].t
+	for ; s.memoIndex[i]>>memoEpochShift == s.memoEpoch; i = (i + 1) & mask {
+		sl := s.memoIndex[i]
+		if sl>>memoTagShift != want {
+			continue
+		}
+		if e := uint32(sl); uint(e) < uint(len(s.memo)) && s.memo[e].Members == s.skey {
+			return s.memo[e].Time
 		}
 	}
-	t := s.m.StageTime(s.probe)
-	if (s.memoFill+1)*4 >= len(s.memo)*3 {
+	t := s.mm.PriceStage(s.probe)
+	if (len(s.memo)+1)*4 >= len(s.memoIndex)*3 {
 		s.growMemo()
 		i = s.memoFree(h)
 	}
-	s.memo[i] = stageMemo{key: s.skey, epoch: s.memoEpoch, t: t}
-	s.memoFill++
+	s.memoIndex[i] = want<<memoTagShift | uint64(len(s.memo))
+	s.memo = append(s.memo, cost.MemoProbe{Members: s.skey, Time: t})
 	return t
 }
 
 // memoFree returns the first slot from hash h's home slot on that holds
 // no entry of the current block.
 func (s *solver) memoFree(h uint64) uint64 {
-	mask := uint64(len(s.memo) - 1)
+	mask := uint64(len(s.memoIndex) - 1)
 	i := h & mask
-	for s.memo[i].epoch == s.memoEpoch {
+	for s.memoIndex[i]>>memoEpochShift == s.memoEpoch {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
-// growMemo doubles the stage memo and re-inserts the current block's
+// growMemo doubles the memo index and re-inserts the current block's
 // entries, recomputing each stage's zobrist hash from its key.
 func (s *solver) growMemo() {
-	old := s.memo
-	s.memo = make([]stageMemo, 2*len(old))
-	for _, e := range old {
-		if e.epoch != s.memoEpoch {
-			continue
-		}
+	s.memoIndex = make([]uint64, 2*len(s.memoIndex))
+	tag := s.memoEpoch << (memoEpochShift - memoTagShift)
+	for e, p := range s.memo {
 		var h uint64
-		for _, x := range e.key {
+		for _, x := range p.Members {
 			if x == 0 {
 				break
 			}
 			h ^= zobrist[x-1]
 		}
-		s.memo[s.memoFree(h)] = e
+		s.memoIndex[s.memoFree(h)] = (tag|h>>memoEpochShift)<<memoTagShift | uint64(e)
 	}
 }
 
 // resetMemo empties the stage memo for a new block by starting a new
-// epoch, clearing the table only when the epoch counter wraps.
+// epoch, clearing the index only when the 16-bit epoch wraps.
 func (s *solver) resetMemo() {
 	const initialMemo = 1024
-	if len(s.memo) == 0 {
-		s.memo = make([]stageMemo, initialMemo)
+	if len(s.memoIndex) == 0 {
+		s.memoIndex = make([]uint64, initialMemo)
 	}
-	s.memoEpoch++
+	s.memoEpoch = (s.memoEpoch + 1) & (1<<(64-memoEpochShift) - 1)
 	if s.memoEpoch == 0 {
-		clear(s.memo)
+		clear(s.memoIndex)
 		s.memoEpoch = 1
 	}
-	s.memoFill = 0
+	s.memo = s.memo[:0]
+	s.memoDone = 0
+}
+
+// commitMemo hands the memo entries not yet committed to the model, in
+// first-probe order.
+func (s *solver) commitMemo() {
+	if d := s.memoDone; uint(d) < uint(len(s.memo)) {
+		s.mm.CommitStages(s.block, s.memo[d:])
+		s.memoDone = len(s.memo)
+	}
 }
 
 // selectBeam picks the beam cheapest states of the bucket under the
@@ -603,11 +626,15 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	for i, v := range block {
 		s.inBlock[v] = int32(i)
 	}
-	// inBlock entries are restored to -1 before returning so the next
-	// block (or the next graph) starts clean.
+	// inBlock entries are restored to -1, and the stage memo's batch is
+	// committed, before returning, so the next block (or the next graph)
+	// starts clean and an error return still records what was probed.
 	defer func() {
 		for _, v := range block {
 			s.inBlock[v] = -1
+		}
+		if s.mm != nil {
+			s.commitMemo()
 		}
 	}()
 	s.linkBlock(g, block)
@@ -628,8 +655,9 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			s.items = append(s.items, im.StageItem(v))
 		}
 	}
-	_, memo := m.(cost.MemoModel)
-	if s.memoOn = memo && !fast; s.memoOn {
+	s.mm = nil
+	if mm, memo := m.(cost.MemoModel); memo && !fast {
+		s.mm = mm
 		s.resetMemo()
 	}
 

@@ -33,6 +33,7 @@ package ios
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -91,6 +92,21 @@ func (o *Options) fill() {
 	o.MaxStage = min(o.MaxStage, o.PruneWindow, maxBlockOps)
 }
 
+// solvers pools solver scratch across Schedule and SolveSequence calls.
+// A solver holds no result and resets every structure per block, so a
+// pooled solver solves exactly as a fresh one (DESIGN.md §7); the pool
+// only saves allocating, zeroing and regrowing the memo, the ring and the
+// slabs on every solve.
+var solvers = sync.Pool{New: func() any { return new(solver) }}
+
+// putSolver returns s to the pool, dropping the last block's context so
+// the pool keeps no caller's graph, model or operators alive. A solve
+// that panics never returns its solver.
+func putSolver(s *solver) {
+	s.block, s.m, s.mm = nil, nil, nil
+	solvers.Put(s)
+}
+
 // Schedule runs IOS on g under cost model m and returns the single-GPU
 // stage decomposition with its latency.
 func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
@@ -98,12 +114,19 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 		return sched.Result{}, err
 	}
 	opt.fill()
-	n := g.NumOps()
+	sv := solvers.Get().(*solver)
+	res, err := sv.schedule(g, m, opt)
+	putSolver(sv)
+	return res, err
+}
+
+// schedule is Schedule on filled options with the given solver, which
+// every block of the call shares.
+func (sv *solver) schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 	s := sched.New(1)
-	if n == 0 {
+	if g.NumOps() == 0 {
 		return sched.Result{Schedule: s, Latency: 0}, nil
 	}
-	var sv solver // scratch shared by every block of this call
 	for _, block := range Blocks(g) {
 		stages, err := sv.solveCached(g, m, block, opt)
 		if err != nil {
@@ -137,8 +160,10 @@ func SolveSequence(g *graph.Graph, m cost.Model, ops []graph.OpID, opt Options) 
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	var sv solver
-	return sv.solveCached(g, m, ops, opt)
+	sv := solvers.Get().(*solver)
+	stages, err := sv.solveCached(g, m, ops, opt)
+	putSolver(sv)
+	return stages, err
 }
 
 // Blocks partitions the operators into independent scheduling blocks. An
