@@ -34,8 +34,11 @@ type Model interface {
 	// StageTime returns t(S): the makespan of the given independent
 	// operators starting simultaneously on one GPU. For a single
 	// operator it must equal OpTime. StageTime must be symmetric in the
-	// order of its arguments and monotone: adding an operator never
-	// decreases it.
+	// order of its arguments up to the last ulp (a fold that sums in
+	// call order may round differently; profile.CostTable prices every
+	// stage with its members in ascending ID order, so its prices are
+	// exact functions of the member set) and monotone: adding an
+	// operator never decreases it.
 	StageTime(ops []graph.OpID) units.Millis
 }
 

@@ -176,8 +176,8 @@ func (f *FrozenModel) CommTime(u, v graph.OpID) units.Millis {
 }
 
 // StageTime implements cost.Model. An unmeasured group is priced as the
-// sum of its members' solo times — the safe upper bound that never makes
-// an unprofiled fusion look attractive.
+// sum of its members' solo times in ascending ID order — the safe upper
+// bound that never makes an unprofiled fusion look attractive.
 func (f *FrozenModel) StageTime(ops []graph.OpID) units.Millis {
 	if len(ops) == 1 {
 		return f.OpTime(ops[0])
@@ -187,7 +187,7 @@ func (f *FrozenModel) StageTime(ops []graph.OpID) units.Millis {
 	}
 	f.misses++
 	var sum units.Millis
-	for _, v := range ops {
+	for _, v := range sortInto(make([]graph.OpID, len(ops)), ops) {
 		sum += f.OpTime(v)
 	}
 	return sum

@@ -16,8 +16,8 @@ import (
 	"encoding/binary"
 	"maps"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -49,23 +49,17 @@ const (
 // CommitStages records a block's first probes in one write-locked section
 // (DESIGN.md §10).
 //
-// Determinism under concurrency: memoized values and probe counts are
-// exact regardless of interleaving. Only SimulatedMs accumulates in
-// insert order, so a table probed from several goroutines may report
-// last-ulp differences across runs; probe it from one goroutine (as
-// Fig. 14 does) when the exact float matters.
+// Determinism under concurrency: every stage is priced with its members
+// in ascending ID order, so memoized values and probe counts are exact
+// regardless of interleaving. Only SimulatedMs accumulates in insert
+// order, so a table probed from several goroutines may report last-ulp
+// differences across runs; probe it from one goroutine (as Fig. 14 does)
+// when the exact float matters.
 type CostTable struct {
 	inner   cost.Model
 	pure    cost.ItemModel // inner, when PriceStage may price it without recording
 	warmup  int
 	repeats int
-
-	// ordered is set, in the section that records it, once a stage of
-	// three or more members is recorded. Such a price can depend on the
-	// order its members were passed in (the contention fold sums in call
-	// order), so PriceStage must then return the recorded value rather
-	// than its own. One or two members sum the same in either order.
-	ordered atomic.Bool
 
 	mu     sync.RWMutex // guards every field below
 	ops    map[graph.OpID]units.Millis
@@ -101,27 +95,40 @@ func NewTable(m cost.Model, warmup, repeats int) *CostTable {
 }
 
 // PriceStage implements cost.MemoModel. Over an inner cost.ItemModel, a
-// pure function, it prices ops without recording them, so the caller's
-// CommitStages charges them later in the same order. A stage of three or
-// more members already recorded keeps its recorded price, which another
-// member order may have produced. Over any other inner model it is
-// StageTime.
+// pure function, it prices ops as StageTime would without recording them,
+// so the caller's CommitStages charges them later in the same order. Over
+// any other inner model it is StageTime.
 func (t *CostTable) PriceStage(ops []graph.OpID) units.Millis {
 	if t.pure == nil {
 		return t.StageTime(ops)
 	}
-	if len(ops) == 1 {
-		return t.pure.OpTime(ops[0])
+	return t.price(ops)
+}
+
+// price measures a stage on the inner model with its members in
+// ascending ID order, so the price is a function of the member set: the
+// contention fold sums in call order, and three or more members can price
+// one ulp apart in two orders. Ascending members, and two members of an
+// ItemModel (whose fold sums them alike in either order), are priced as
+// passed; other ItemModel stages of up to MemoWidth members fold the
+// items of a sorted stack copy, which passing it to StageTime through the
+// interface would move to the heap.
+func (t *CostTable) price(ops []graph.OpID) units.Millis {
+	if slices.IsSorted(ops) || t.pure != nil && len(ops) == 2 {
+		return t.inner.StageTime(ops)
 	}
-	if len(ops) > 2 && t.ordered.Load() {
-		t.mu.RLock()
-		x, ok := t.stages.lookup(ops)
-		t.mu.RUnlock()
-		if ok {
-			return x
-		}
+	if t.pure == nil || len(ops) > cost.MemoWidth {
+		return t.inner.StageTime(sortInto(make([]graph.OpID, len(ops)), ops))
 	}
-	return t.pure.StageTime(ops)
+	var buf [cost.MemoWidth]graph.OpID
+	c := t.pure.Contention()
+	var maxT, work units.Millis
+	var util float64
+	for _, v := range sortInto(buf[:len(ops)], ops) {
+		it := t.pure.StageItem(v)
+		maxT, work, util = c.Accumulate(maxT, work, util, it.Time, it.Util)
+	}
+	return c.Combine(maxT, work, util)
 }
 
 // CommitStages implements cost.MemoModel: it records the batch's new
@@ -144,7 +151,6 @@ func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 		sized = make(map[stageKey]units.Millis, have+len(batch))
 	}
 	var buf [cost.MemoWidth]graph.OpID
-	ordered := false
 	t.mu.Lock()
 	if sized != nil {
 		maps.Copy(sized, t.stages.vals)
@@ -168,10 +174,6 @@ func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 			key = t.stages.intern(spillSig(stage))
 		}
 		store(t, t.stages.vals, key, p.Time)
-		ordered = ordered || len(stage) > 2
-	}
-	if ordered {
-		t.ordered.Store(true)
 	}
 	t.mu.Unlock()
 }
@@ -219,9 +221,9 @@ func (t *CostTable) CommTime(u, v graph.OpID) units.Millis {
 	return x
 }
 
-// StageTime implements cost.Model. Probes are keyed by the sorted member
-// set, as a profiler measures each distinct concurrent group once. The
-// key is built once per call and serves both the lookup and the insert.
+// StageTime implements cost.Model. Probes are keyed, and priced, by the
+// sorted member set, as a profiler measures each distinct concurrent
+// group once. The key serves both the lookup and the insert.
 func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	if len(ops) == 1 {
 		return t.OpTime(ops[0])
@@ -236,12 +238,9 @@ func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	if ok {
 		return x
 	}
-	x = t.inner.StageTime(ops)
+	x = t.price(ops)
 	t.mu.Lock()
 	x = store(t, t.stages.vals, key, x)
-	if len(ops) > 2 && !t.ordered.Load() {
-		t.ordered.Store(true)
-	}
 	t.mu.Unlock()
 	return x
 }
@@ -258,10 +257,9 @@ func (t *CostTable) spilledStageTime(ops []graph.OpID) units.Millis {
 	if ok {
 		return x
 	}
-	x = t.inner.StageTime(ops)
+	x = t.price(ops)
 	t.mu.Lock()
 	x = store(t, t.stages.vals, t.stages.intern(sig), x)
-	t.ordered.Store(true)
 	t.mu.Unlock()
 	return x
 }
@@ -330,9 +328,8 @@ func inlineKey(ops []graph.OpID) (stageKey, bool) {
 }
 
 // spillSig is the exact encoding of a spilled stage: its members sorted,
-// as big-endian 8-byte words. Up to 64 members are insertion-sorted on a
-// stack array (stages are nearly sorted already), so the string is the
-// only allocation.
+// as big-endian 8-byte words. Up to 64 members are sorted on a stack
+// array, so the string is the only allocation.
 func spillSig(ops []graph.OpID) string {
 	var arr [64]graph.OpID
 	var buf [8 * 64]byte
@@ -340,18 +337,23 @@ func spillSig(ops []graph.OpID) string {
 	if len(ops) > len(arr) {
 		sorted, enc = make([]graph.OpID, 0, len(ops)), make([]byte, 0, 8*len(ops))
 	}
-	for _, v := range ops {
-		j := len(sorted)
-		sorted = append(sorted, v)
-		for ; j > 0 && sorted[j-1] > v; j-- {
-			sorted[j] = sorted[j-1]
-		}
-		sorted[j] = v
-	}
-	for _, v := range sorted {
+	for _, v := range sortInto(sorted[:len(ops)], ops) {
 		enc = binary.BigEndian.AppendUint64(enc, uint64(v))
 	}
 	return string(enc)
+}
+
+// sortInto writes ops to dst, which has their length, in ascending
+// order. It insertion-sorts: stages are small and often nearly sorted.
+func sortInto(dst, ops []graph.OpID) []graph.OpID {
+	for i, v := range ops {
+		j := i
+		for ; j > 0 && dst[j-1] > v; j-- {
+			dst[j] = dst[j-1]
+		}
+		dst[j] = v
+	}
+	return dst
 }
 
 // stageMap is one table's stage measurements under compact keys, plus
@@ -412,11 +414,7 @@ func (sm *stageMap) members(k stageKey) []graph.OpID {
 		sig := sm.spills[k[1]-1]
 		out := make([]graph.OpID, 0, len(sig)/8)
 		for i := 0; i+8 <= len(sig); i += 8 {
-			var id uint64
-			for _, c := range []byte(sig[i : i+8]) {
-				id = id<<8 | uint64(c)
-			}
-			out = append(out, graph.OpID(id))
+			out = append(out, graph.OpID(binary.BigEndian.Uint64([]byte(sig[i:i+8]))))
 		}
 		return out
 	}
