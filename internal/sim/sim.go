@@ -15,6 +15,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -55,6 +56,14 @@ type event struct {
 	gpu  int // stage finish: which GPU
 	xfer int // transfer arrival: index into pending transfers
 }
+
+// Errors for a dependency between two stages of one GPU that the GPU's
+// stage order cannot satisfy. They carry no operator IDs: formatting
+// them would move the IDs to the heap on the hot path.
+var (
+	errSharedStage = errors.New("sim: two operators with a direct dependency share a stage")
+	errLaterStage  = fmt.Errorf("sim: deadlock, an operator waits for an input from a later stage on its own GPU: %w", graph.ErrCycle)
+)
 
 // Options controls simulation fidelity.
 type Options struct {
@@ -108,6 +117,15 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 	for _, e := range g.Edges() {
 		gu, gv := gpuOf[e.From], gpuOf[e.To]
 		if gu == gv {
+			// A GPU runs its stages in order, so a local input is ready
+			// unless it comes from the consumer's own or a later stage,
+			// which the evaluator rejects too.
+			switch {
+			case stageOf[e.To] == stageOf[e.From]:
+				return nil, errSharedStage
+			case stageOf[e.To] < stageOf[e.From]:
+				return nil, errLaterStage
+			}
 			continue
 		}
 		k := xferKey{op: e.From, dstGPU: gv}
