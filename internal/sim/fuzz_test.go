@@ -11,12 +11,15 @@ import (
 )
 
 // fuzzDAG decodes bytes into a small graph: one byte for the operator
-// count (1–24), then per operator its time, utilization and output
-// transfer time as float32 bits, then 2-byte edge records (endpoint
-// bytes, one past the last operator meaning "unknown"), each carrying
-// its producer's transfer time as the paper's graphs do. Missing bytes
-// read as zero. float32 bits reach NaN, ±Inf, negatives and subnormals,
-// which Finalize must reject or the simulator must survive.
+// count (1–24 from its low seven bits), then per operator its time,
+// utilization and output transfer time as float32 bits, then edge
+// records: two endpoint bytes (one past the last operator meaning
+// "unknown"), each edge carrying its producer's transfer time as the
+// paper's graphs do. With the count byte's top bit set, each record
+// carries its own transfer time as four more float32 bytes instead, so
+// one producer's edges may take different times. Missing bytes read as
+// zero. float32 bits reach NaN, ±Inf, negatives and subnormals, which
+// Finalize must reject or the simulator must survive.
 func fuzzDAG(data []byte) *graph.Graph {
 	next := func(k int) []byte {
 		var buf [4]byte
@@ -25,7 +28,8 @@ func fuzzDAG(data []byte) *graph.Graph {
 		return buf[:]
 	}
 	f32 := func() float64 { return float64(math.Float32frombits(binary.LittleEndian.Uint32(next(4)))) }
-	n := 1 + int(next(1)[0])%24
+	head := next(1)[0]
+	n, perEdge := 1+int(head&0x7f)%24, head&0x80 != 0
 	g := graph.New(n, 0)
 	comm := make([]float64, n+1)
 	for i := 0; i < n; i++ {
@@ -35,7 +39,11 @@ func fuzzDAG(data []byte) *graph.Graph {
 	for e := 0; len(data) > 0 && e < 64; e++ {
 		ends := next(2)
 		from, to := int(ends[0])%(n+1), int(ends[1])%(n+1)
-		g.AddEdge(graph.OpID(from), graph.OpID(to), comm[from])
+		t := comm[from]
+		if perEdge {
+			t = f32()
+		}
+		g.AddEdge(graph.OpID(from), graph.OpID(to), t)
 	}
 	return g
 }

@@ -17,6 +17,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/shus-lab/hios/internal/cost"
@@ -106,9 +107,11 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 	// per-GPU sequential positions.
 	type stageKey struct{ gpu, idx int }
 	waiting := make(map[stageKey]int)
-	// Dedupe transfers by (producer op, destination GPU): the runtime
-	// sends each tensor to each remote GPU once, however many consumers
-	// live there.
+	// Dedupe transfers by (producer op, destination GPU, edge time): the
+	// runtime sends each tensor to each remote GPU once, however many
+	// consumers live there, and consumers whose edges take different
+	// times wait for different transfers, as sched.Evaluate charges each
+	// edge its own CommTime.
 	type xferKey struct {
 		op     graph.OpID
 		dstGPU int
@@ -165,24 +168,35 @@ func RunOpts(g *graph.Graph, m cost.Model, s *sched.Schedule, opt Options) (*Tra
 				cs[b], cs[b-1] = cs[b-1], cs[b]
 			}
 		}
-		clear(seen)
-		px := pendingXfer{
-			from:       k.op,
-			fromGPU:    gpuOf[k.op],
-			toGPU:      k.dstGPU,
-			comm:       cost.CommBetween(m, k.op, cs[0], gpuOf[k.op], k.dstGPU),
-			consumerOp: cs[0],
-		}
-		for _, c := range cs {
-			sk := stageKey{gpu: gpuOf[c], idx: stageOf[c]}
-			if !seen[sk] {
-				seen[sk] = true
-				px.dstStages = append(px.dstStages, sk)
-				waiting[sk]++
+		// One transfer per distinct edge time (by its bits), in order
+		// of its lowest-ID consumer; the consumers it does not serve
+		// stay in cs, compacted in place, for the next one.
+		for len(cs) > 0 {
+			clear(seen)
+			px := pendingXfer{
+				from:       k.op,
+				fromGPU:    gpuOf[k.op],
+				toGPU:      k.dstGPU,
+				comm:       cost.CommBetween(m, k.op, cs[0], gpuOf[k.op], k.dstGPU),
+				consumerOp: cs[0],
 			}
+			rest := cs[:0]
+			for i, c := range cs {
+				if i > 0 && math.Float64bits(float64(cost.CommBetween(m, k.op, c, px.fromGPU, px.toGPU))) != math.Float64bits(float64(px.comm)) {
+					rest = append(rest, c)
+					continue
+				}
+				sk := stageKey{gpu: gpuOf[c], idx: stageOf[c]}
+				if !seen[sk] {
+					seen[sk] = true
+					px.dstStages = append(px.dstStages, sk)
+					waiting[sk]++
+				}
+			}
+			cs = rest
+			xfersByProducer[k.op] = append(xfersByProducer[k.op], len(xfers))
+			xfers = append(xfers, px)
 		}
-		xfersByProducer[k.op] = append(xfersByProducer[k.op], len(xfers))
-		xfers = append(xfers, px)
 	}
 
 	tr := &Trace{}

@@ -68,6 +68,38 @@ func TestDedupedTransferPerGPU(t *testing.T) {
 	}
 }
 
+func TestTransferPerEdgeTime(t *testing.T) {
+	// One producer, two consumers on the same remote GPU whose edges take
+	// different times: each consumer waits for its own edge, as the
+	// evaluator charges it, not for the lowest-ID consumer's.
+	g := graph.New(3, 2)
+	a := g.AddOp(graph.Op{Name: "a", Time: 1})
+	b := g.AddOp(graph.Op{Name: "b", Time: 1})
+	c := g.AddOp(graph.Op{Name: "c", Time: 1})
+	g.AddEdge(a, b, 0.5)
+	g.AddEdge(a, c, 3)
+	g.MustFinalize()
+	m := cost.FromGraph(g, cost.DefaultContention())
+	s := sched.New(2)
+	s.Append(0, a)
+	s.Append(1, b)
+	s.Append(1, c)
+	want, err := sched.Evaluate(g, m, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Run(g, m, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Latency != 5 || want.Latency != 5 {
+		t.Fatalf("latency = %g, evaluator %g, want 5", tr.Latency, want.Latency)
+	}
+	if len(tr.Transfers) != 2 || tr.Transfers[0].Arrive != 1.5 || tr.Transfers[1].Arrive != 4 {
+		t.Fatalf("transfers = %+v, want a->b arriving at 1.5 and a->c at 4", tr.Transfers)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	g := graph.New(4, 2)
 	a := g.AddOp(graph.Op{Time: 1})
