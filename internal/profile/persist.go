@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/units"
 )
@@ -46,10 +47,12 @@ type StageEntry struct {
 }
 
 // Export serializes every measurement the table has performed so far:
-// ops by ID, comms by endpoints and stages by their sorted member lists.
+// ops by ID, comms by endpoints and stages by their sorted member lists,
+// whether the maps or a segment holds them.
 func (t *CostTable) Export(model string) ([]byte, error) {
 	t.mu.RLock()
-	nOps, nComms, nStages := len(t.ops), len(t.comms), len(t.stages.vals)
+	nOps, nComms := len(t.ops)+t.segOps, len(t.comms)
+	nStages := len(t.stages.vals) + t.segStages
 	t.mu.RUnlock()
 	snap := Snapshot{
 		Model:   model,
@@ -64,7 +67,11 @@ func (t *CostTable) Export(model string) ([]byte, error) {
 		k stageKey
 		x units.Millis
 	}
-	stages := make([]stageVal, 0, nStages) // sized before locking
+	// Sized before locking; an empty list stays null in the JSON.
+	stages := make([]stageVal, 0, nStages)
+	if nStages > 0 {
+		snap.Stages = make([]StageEntry, 0, nStages)
+	}
 	t.mu.RLock()
 	for v, x := range t.ops {
 		snap.Ops[v] = x
@@ -75,16 +82,32 @@ func (t *CostTable) Export(model string) ([]byte, error) {
 	for k, x := range t.stages.vals {
 		stages = append(stages, stageVal{k, x})
 	}
-	// Interned spills are never rewritten, so the slice header read under
-	// the lock decodes every key collected above.
+	// Interned spills and segments are never rewritten, so the slice
+	// headers read under the lock decode every key collected above and
+	// list every segment committed before it.
 	spilled := stageMap{spills: t.stages.spills}
+	segs := t.segs
 	t.mu.RUnlock()
+	for _, sg := range segs {
+		for _, p := range sg.probes {
+			if p.Members[1] == 0 {
+				snap.Ops[sg.ops[p.Members[0]-1]] = p.Time
+				continue
+			}
+			stage := make([]graph.OpID, 0, cost.MemoWidth)
+			for _, x := range p.Members {
+				if x == 0 {
+					break
+				}
+				stage = append(stage, sg.ops[x-1])
+			}
+			slices.Sort(stage)
+			snap.Stages = append(snap.Stages, StageEntry{Ops: stage, Ms: p.Time})
+		}
+	}
 	slices.SortFunc(snap.Comms, func(a, b CommEntry) int {
 		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
-	if len(stages) > 0 {
-		snap.Stages = make([]StageEntry, 0, len(stages))
-	}
 	for _, e := range stages {
 		snap.Stages = append(snap.Stages, StageEntry{Ops: spilled.members(e.k), Ms: e.x})
 	}

@@ -14,7 +14,6 @@ package profile
 
 import (
 	"encoding/binary"
-	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -33,16 +32,20 @@ const (
 
 // CostTable is a memoizing, probe-counting cost.Model.
 //
-// One RWMutex guards the three probe maps and the simulated profiler
-// time. A lookup takes the read lock only, so concurrent sweeps sharing
-// one table scale with cores once the working set is memoized. A miss
-// prices the probe outside any lock and then, in one write-locked
-// section, re-checks, inserts and charges the simulated time: a racer
-// that lost stores and charges nothing, and a Stats snapshot never pairs
-// a probe count with the time of a different count. Concurrent use
-// requires the wrapped model's own lookups to be safe for concurrent
-// readers (every model in internal/cost is: they are pure functions over
-// immutable graph data).
+// A measurement lives in exactly one of two places: the three probe maps,
+// or a segment, the immutable record of one IOS block's committed batch
+// (see CommitStages). One RWMutex guards the maps, the list of segments,
+// the per-operator owner index and the simulated profiler time; a
+// segment's own lookup index is built once, on its first lookup, and read
+// without the lock. A lookup takes the read lock only, so concurrent
+// sweeps sharing one table scale with cores once the working set is
+// memoized. A miss prices the probe outside any lock and then, in one
+// write-locked section, re-checks the map and the segments, inserts and
+// charges the simulated time: a racer that lost stores and charges
+// nothing, and a Stats snapshot never pairs a probe count with the time
+// of a different count. Concurrent use requires the wrapped model's own
+// lookups to be safe for concurrent readers (every model in internal/cost
+// is: they are pure functions over immutable graph data).
 //
 // The IOS dynamic program probes through the cost.MemoModel batch
 // instead: PriceStage prices a first probe without recording it, and
@@ -66,6 +69,169 @@ type CostTable struct {
 	stages stageMap
 	comms  map[[2]graph.OpID]units.Millis
 	simMs  units.Millis
+
+	segs      []*segment // committed blocks, append-only
+	owners    []opOwner  // by operator ID below segmentIDs
+	segOps    int        // one-operator probes the segments hold
+	segStages int        // multi-operator probes the segments hold
+}
+
+// segmentIDs bounds the operator IDs a segment may own, and so the owner
+// index: a block with a larger ID, however sparse, takes the map path.
+const segmentIDs = 1 << 16
+
+// opOwner is an operator's entry in the owner index.
+type opOwner struct {
+	seg    uint32 // index + 1 into segs of the segment that owns it; 0: none
+	pos    uint16 // its position in that segment's operator list
+	mapped bool   // the maps hold a probe over it
+}
+
+// segment is one block's committed batch, stored as CommitStages received
+// it: the block's operator list and its first probes, whose members name
+// positions + 1 in that list, ascending. Both are immutable. The index
+// that finds a probe by its members is built on the first lookup, so a
+// block no caller looks up again never pays for it.
+type segment struct {
+	ops    []graph.OpID
+	probes []cost.MemoProbe
+	once   sync.Once
+	index  []uint32 // open addressing over probes: entry + 1, 0 for empty
+}
+
+// segKey is a stage's members as segment positions + 1, ascending and
+// zero-padded: the form of cost.MemoProbe.Members.
+type segKey = [cost.MemoWidth]uint16
+
+// hashSegKey mixes a segKey's 16 bytes into a table position.
+func hashSegKey(k *segKey) uint64 {
+	lo := uint64(k[0]) | uint64(k[1])<<16 | uint64(k[2])<<32 | uint64(k[3])<<48
+	hi := uint64(k[4]) | uint64(k[5])<<16 | uint64(k[6])<<32 | uint64(k[7])<<48
+	h := (lo ^ hi*0xff51afd7ed558ccd) * 0xc4ceb9fe1a85ec53 // murmur3's fmix64 multipliers
+	return h ^ h>>32
+}
+
+// build fills the lookup index at a load of at most one half.
+func (sg *segment) build() {
+	n := 2
+	for n < 2*len(sg.probes) {
+		n *= 2
+	}
+	sg.index = make([]uint32, n)
+	mask := uint64(n - 1)
+	for e := range sg.probes {
+		i := hashSegKey(&sg.probes[e].Members) & mask
+		for sg.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		sg.index[i] = uint32(e + 1)
+	}
+}
+
+// time returns the measurement the segment holds for the stage whose
+// members are k, building the index on the first call.
+func (sg *segment) time(k *segKey) (units.Millis, bool) {
+	sg.once.Do(sg.build)
+	mask := uint64(len(sg.index) - 1)
+	for i := hashSegKey(k) & mask; ; i = (i + 1) & mask {
+		e := sg.index[i]
+		if e == 0 {
+			return 0, false
+		}
+		if p := &sg.probes[e-1]; p.Members == *k {
+			return p.Time, true
+		}
+	}
+}
+
+// segmentOf returns the segment that owns every operator of ops, with
+// their positions in it as a segKey, or nil when no one segment does.
+// The caller holds t.mu.
+func (t *CostTable) segmentOf(ops []graph.OpID) (*segment, segKey) {
+	var k segKey
+	if len(t.segs) == 0 || len(ops) == 0 || len(ops) > cost.MemoWidth {
+		return nil, k
+	}
+	var seg uint32
+	for i, v := range ops {
+		if uint64(v) >= uint64(len(t.owners)) {
+			return nil, k
+		}
+		o := t.owners[v]
+		if o.seg == 0 || i > 0 && o.seg != seg {
+			return nil, k
+		}
+		seg = o.seg
+		x := o.pos + 1
+		j := i
+		for ; j > 0 && k[j-1] > x; j-- {
+			k[j] = k[j-1]
+		}
+		k[j] = x
+	}
+	return t.segs[seg-1], k
+}
+
+// fresh reports whether a block over ops may be committed as a segment:
+// every operator is in the owner index's range, and no segment owns it
+// and no map entry holds a probe over it. The caller holds t.mu.
+func (t *CostTable) fresh(ops []graph.OpID) bool {
+	for _, v := range ops {
+		if uint64(v) >= segmentIDs || uint64(v) < uint64(len(t.owners)) && t.owners[v] != (opOwner{}) {
+			return false
+		}
+	}
+	return true
+}
+
+// markMapped records in the owner index that the maps hold a probe over
+// each operator of ops. The caller holds t.mu.
+func (t *CostTable) markMapped(ops []graph.OpID) {
+	for _, v := range ops {
+		if uint64(v) >= segmentIDs {
+			continue
+		}
+		for len(t.owners) <= int(v) {
+			t.owners = append(t.owners, opOwner{})
+		}
+		t.owners[v].mapped = true
+	}
+}
+
+// addSegment commits seg when its block is still fresh, charging its
+// probes in batch order, and reports whether it did. A block that lists
+// an operator twice is not committed, so one of distinct IDs below
+// segmentIDs has every position in range of opOwner.pos. The caller
+// holds t.mu.
+func (t *CostTable) addSegment(seg *segment) bool {
+	if !t.fresh(seg.ops) {
+		return false
+	}
+	id := uint32(len(t.segs) + 1)
+	for i, v := range seg.ops {
+		for len(t.owners) <= int(v) {
+			t.owners = append(t.owners, opOwner{})
+		}
+		if t.owners[v].seg == id {
+			for _, u := range seg.ops[:i] {
+				t.owners[u] = opOwner{}
+			}
+			return false
+		}
+		t.owners[v] = opOwner{seg: id, pos: uint16(i)}
+	}
+	t.segs = append(t.segs, seg)
+	runs := float64(t.warmup + t.repeats)
+	for i := range seg.probes {
+		p := &seg.probes[i]
+		if p.Members[1] == 0 {
+			t.segOps++
+		} else {
+			t.segStages++
+		}
+		t.simMs += p.Time.Scale(runs)
+	}
+	return true
 }
 
 var (
@@ -135,26 +301,31 @@ func (t *CostTable) price(ops []graph.OpID) units.Millis {
 // measurements in batch order and charges each one its simulated
 // profiler time, exactly as StageTime would have on first probe; a stage
 // recorded first by another caller keeps its value and is not charged.
-// A batch at least as large as the stage map gets a map sized for both
-// before the lock is taken, so the one write-locked section copies and
-// inserts without growing it. Over an impure inner model PriceStage has
-// recorded every probe already, and there is nothing to do.
+//
+// When no probe over any of the block's operators has been recorded yet
+// (every block of a fresh table), the batch is stored as one segment: a
+// copy of ops and of the batch, made before the lock is taken, so the
+// write-locked section only claims the operators in the owner index and
+// charges the probes. Otherwise each probe is inserted into the maps,
+// unless a segment already holds it. Over an impure inner model
+// PriceStage has recorded every probe already, and there is nothing to
+// do.
 func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 	if t.pure == nil || len(batch) == 0 {
 		return
 	}
 	t.mu.RLock()
-	have := len(t.stages.vals)
+	fresh := t.fresh(ops)
 	t.mu.RUnlock()
-	var sized map[stageKey]units.Millis
-	if len(batch) >= have {
-		sized = make(map[stageKey]units.Millis, have+len(batch))
+	var seg *segment
+	if fresh {
+		seg = &segment{ops: slices.Clone(ops), probes: slices.Clone(batch)}
 	}
 	var buf [cost.MemoWidth]graph.OpID
 	t.mu.Lock()
-	if sized != nil {
-		maps.Copy(sized, t.stages.vals)
-		t.stages.vals = sized
+	if seg != nil && t.addSegment(seg) {
+		t.mu.Unlock()
+		return
 	}
 	for i := range batch {
 		p := &batch[i]
@@ -166,41 +337,62 @@ func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 			stage = append(stage, ops[x-1])
 		}
 		if len(stage) == 1 {
-			store(t, t.ops, stage[0], p.Time)
+			store(t, t.ops, stage[0], stage, p.Time)
 			continue
 		}
 		key, ok := inlineKey(stage)
 		if !ok { // an ID past 2^32-2: interned as StageTime would
 			key = t.stages.intern(spillSig(stage))
 		}
-		store(t, t.stages.vals, key, p.Time)
+		store(t, t.stages.vals, key, stage, p.Time)
 	}
 	t.mu.Unlock()
 }
 
-// store records x as k's measurement unless a racer stored one first,
-// and returns the value m holds for k afterwards. Only a new measurement
-// is charged its simulated profiler time. The caller holds t.mu.
-func store[K comparable](t *CostTable, m map[K]units.Millis, k K, x units.Millis) units.Millis {
+// store records x as k's measurement, the probe over the operators ops
+// (nil for a transfer), unless m or the segment that owns every member
+// of ops holds one already, a racer's or a committed block's, and
+// returns the value held afterwards. Only a new measurement is charged
+// its simulated profiler time, and the owner index learns that the maps
+// hold a probe over ops. The caller holds t.mu.
+func store[K comparable](t *CostTable, m map[K]units.Millis, k K, ops []graph.OpID, x units.Millis) units.Millis {
 	if old, ok := m[k]; ok {
 		return old
 	}
+	if seg, sk := t.segmentOf(ops); seg != nil {
+		if old, ok := seg.time(&sk); ok {
+			return old
+		}
+	}
+	t.markMapped(ops)
 	m[k] = x
 	t.simMs += x.Scale(float64(t.warmup + t.repeats))
 	return x
 }
 
-// OpTime implements cost.Model.
+// OpTime implements cost.Model. It looks in the map first, then in the
+// segment that owns v.
 func (t *CostTable) OpTime(v graph.OpID) units.Millis {
+	one := [1]graph.OpID{v}
 	t.mu.RLock()
 	x, ok := t.ops[v]
+	var seg *segment
+	var k segKey
+	if !ok {
+		seg, k = t.segmentOf(one[:])
+	}
 	t.mu.RUnlock()
 	if ok {
 		return x
 	}
+	if seg != nil {
+		if x, ok := seg.time(&k); ok {
+			return x
+		}
+	}
 	x = t.inner.OpTime(v)
 	t.mu.Lock()
-	x = store(t, t.ops, v, x)
+	x = store(t, t.ops, v, one[:], x)
 	t.mu.Unlock()
 	return x
 }
@@ -216,14 +408,15 @@ func (t *CostTable) CommTime(u, v graph.OpID) units.Millis {
 	}
 	x = t.inner.CommTime(u, v)
 	t.mu.Lock()
-	x = store(t, t.comms, key, x)
+	x = store(t, t.comms, key, nil, x)
 	t.mu.Unlock()
 	return x
 }
 
 // StageTime implements cost.Model. Probes are keyed, and priced, by the
 // sorted member set, as a profiler measures each distinct concurrent
-// group once. The key serves both the lookup and the insert.
+// group once. The key serves both the lookup and the insert. A lookup
+// reads the map first, then the segment that owns every member.
 func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	if len(ops) == 1 {
 		return t.OpTime(ops[0])
@@ -234,21 +427,31 @@ func (t *CostTable) StageTime(ops []graph.OpID) units.Millis {
 	}
 	t.mu.RLock()
 	x, ok := t.stages.vals[key]
+	var seg *segment
+	var k segKey
+	if !ok {
+		seg, k = t.segmentOf(ops)
+	}
 	t.mu.RUnlock()
 	if ok {
 		return x
 	}
+	if seg != nil {
+		if x, ok := seg.time(&k); ok {
+			return x
+		}
+	}
 	x = t.price(ops)
 	t.mu.Lock()
-	x = store(t, t.stages.vals, key, x)
+	x = store(t, t.stages.vals, key, ops, x)
 	t.mu.Unlock()
 	return x
 }
 
 // spilledStageTime is StageTime for a stage too wide, or with an ID too
-// large, for an inline key. No scheduler probes one at its default
-// options, so it trades speed for simplicity: the exact encoding is
-// built on every call.
+// large, for an inline key. No segment holds such a stage. No scheduler
+// probes one at its default options, so it trades speed for simplicity:
+// the exact encoding is built on every call.
 func (t *CostTable) spilledStageTime(ops []graph.OpID) units.Millis {
 	sig := spillSig(ops)
 	t.mu.RLock()
@@ -259,7 +462,7 @@ func (t *CostTable) spilledStageTime(ops []graph.OpID) units.Millis {
 	}
 	x = t.price(ops)
 	t.mu.Lock()
-	x = store(t, t.stages.vals, t.stages.intern(sig), x)
+	x = store(t, t.stages.vals, t.stages.intern(sig), ops, x)
 	t.mu.Unlock()
 	return x
 }
@@ -283,8 +486,8 @@ func (t *CostTable) Stats() Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return Stats{
-		OpProbes:    len(t.ops),
-		StageProbes: len(t.stages.vals),
+		OpProbes:    len(t.ops) + t.segOps,
+		StageProbes: len(t.stages.vals) + t.segStages,
 		CommProbes:  len(t.comms),
 		SimulatedMs: t.simMs,
 	}
