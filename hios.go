@@ -40,7 +40,6 @@ import (
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/runtime"
 	"github.com/shus-lab/hios/internal/sched"
-	"github.com/shus-lab/hios/internal/sched/ios"
 	"github.com/shus-lab/hios/internal/sched/refine"
 	"github.com/shus-lab/hios/internal/sched/window"
 	"github.com/shus-lab/hios/internal/sim"
@@ -180,11 +179,6 @@ type Options struct {
 	// Window is the maximum sliding-window size w of the intra-GPU
 	// pass; zero selects the default (4).
 	Window int
-	// IOSMaxStage bounds operators per stage in the IOS DP (0 = 8);
-	// values above IOSPruneWindow act as IOSPruneWindow.
-	IOSMaxStage int
-	// IOSPruneWindow bounds the IOS frontier enumeration (0 = 8).
-	IOSPruneWindow int
 }
 
 // Sentinel errors of Options.Validate. Match with errors.Is; the
@@ -197,17 +191,15 @@ var (
 	ErrNoGPUs = errors.New("hios: multi-GPU algorithm needs GPUs >= 1")
 	// ErrBadWindow reports a negative sliding-window size.
 	ErrBadWindow = errors.New("hios: negative window size")
-	// ErrBadIOSBound reports a negative IOS pruning bound.
-	ErrBadIOSBound = errors.New("hios: negative IOS bound")
 )
 
 // Validate checks the options against the selected algorithm and
 // returns the first violation wrapped around one of the sentinel errors
 // above (nil when the configuration is valid). Zero values with
-// documented defaults — Window, IOSMaxStage, IOSPruneWindow, and GPUs
-// for single-GPU algorithms — are always valid. Optimize and every cmd/
-// driver route their checking through here, so the rules live in one
-// place and callers can errors.Is-match the failure.
+// documented defaults — Window, and GPUs for single-GPU algorithms — are
+// always valid. Optimize and every cmd/ driver route their checking
+// through here, so the rules live in one place and callers can
+// errors.Is-match the failure.
 func (o Options) Validate(algo Algorithm) error {
 	if !slices.Contains(experiments.AllAlgorithms, string(algo)) {
 		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownAlgorithm, string(algo), Algorithms())
@@ -217,9 +209,6 @@ func (o Options) Validate(algo Algorithm) error {
 	}
 	if o.Window < 0 {
 		return fmt.Errorf("%w: %d", ErrBadWindow, o.Window)
-	}
-	if o.IOSMaxStage < 0 || o.IOSPruneWindow < 0 {
-		return fmt.Errorf("%w: IOSMaxStage=%d IOSPruneWindow=%d", ErrBadIOSBound, o.IOSMaxStage, o.IOSPruneWindow)
 	}
 	return nil
 }
@@ -234,7 +223,6 @@ func Optimize(g *Graph, m CostModel, algo Algorithm, opt Options) (Result, error
 	return experiments.Run(string(algo), g, m, experiments.RunConfig{
 		GPUs:   opt.GPUs,
 		Window: opt.Window,
-		IOS:    ios.Options{MaxStage: opt.IOSMaxStage, PruneWindow: opt.IOSPruneWindow},
 	})
 }
 

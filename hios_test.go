@@ -3,8 +3,6 @@ package hios_test
 import (
 	"bytes"
 	"errors"
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -72,8 +70,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"inter-lp without gpus", hios.InterLP, hios.Options{}, hios.ErrNoGPUs},
 		{"inter-mr without gpus", hios.InterMR, hios.Options{}, hios.ErrNoGPUs},
 		{"negative window", hios.HIOSLP, hios.Options{GPUs: 2, Window: -1}, hios.ErrBadWindow},
-		{"negative ios max stage", hios.IOS, hios.Options{IOSMaxStage: -1}, hios.ErrBadIOSBound},
-		{"negative ios prune window", hios.IOS, hios.Options{IOSPruneWindow: -3}, hios.ErrBadIOSBound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -93,26 +89,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (hios.Options{GPUs: 2}).Validate(hios.HIOSLP); err != nil {
 		t.Fatalf("valid multi-GPU options rejected: %v", err)
-	}
-}
-
-// TestHugeIOSMaxStage checks that a stage bound far above anything a
-// stage can hold passes Validate and schedules exactly as the default:
-// a stage is drawn from at most IOSPruneWindow frontier operators.
-func TestHugeIOSMaxStage(t *testing.T) {
-	g, m := quickGraph(t)
-	want, err := hios.Optimize(g, m, hios.IOS, hios.Options{IOSMaxStage: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ms := range []int{math.MaxInt, math.MaxInt - 1} {
-		got, err := hios.Optimize(g, m, hios.IOS, hios.Options{IOSMaxStage: ms})
-		if err != nil {
-			t.Fatalf("IOSMaxStage %d: %v", ms, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("IOSMaxStage %d: %+v, want %+v", ms, got, want)
-		}
 	}
 }
 

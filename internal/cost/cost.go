@@ -77,8 +77,9 @@ type ItemModel interface {
 	StageItem(v graph.OpID) Item
 }
 
-// MemoWidth is the widest stage a MemoProbe names. It matches the IOS
-// dynamic program's MaxStage default.
+// MemoWidth is the widest stage a MemoProbe names, and the widest a
+// profile.CostTable keys inline. It matches the IOS dynamic program's
+// MaxStage default.
 const MemoWidth = 8
 
 // MemoProbe is one first probe of a MemoModel batch: a stage of at most
@@ -97,10 +98,12 @@ type MemoProbe struct {
 //   - prices the first probe of each member set with PriceStage, which
 //     records nothing;
 //   - answers a repeat from its memo, without calling the model;
-//   - hands the first probes, in first-probe order, to CommitStages at
-//     the end of the batch and before any other call to the model, so
-//     a stage wider than MemoWidth flushes the batch before its
-//     StageTime call.
+//   - hands the first probes, in first-probe order, to CommitStages in
+//     one call at the end of the batch, and calls the model for nothing
+//     else in between.
+//
+// Every stage of a batch has at most MemoWidth members; a caller that
+// may probe a wider stage keeps no memo and calls StageTime throughout.
 //
 // An implementation promises that this sequence returns, bit for bit, the
 // values that calling StageTime on every probe would have returned, and

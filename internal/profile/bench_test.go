@@ -24,7 +24,7 @@ func BenchmarkStageSig(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkStageSigWide exercises the spill path (> stageKeyInline
+// BenchmarkStageSigWide exercises the spill path (> cost.MemoWidth
 // members): the sorted exact encoding a spilled stage is interned by,
 // built with one allocation. No scheduler probes stages this wide at its
 // default options (IOS caps at MaxStage = 8).

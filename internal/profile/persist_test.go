@@ -86,7 +86,7 @@ func TestImportRejectsGarbage(t *testing.T) {
 func TestStageSigRoundTrip(t *testing.T) {
 	cases := [][]graph.OpID{
 		{7, 300, 70000, 2},                         // inline path
-		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 10, 13}, // spills past stageKeyInline
+		{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 10, 13}, // spills past cost.MemoWidth
 		{1 << 40, 3, 1 << 33},                      // IDs above 32 bits spill too
 		{-4, 2},                                    // so do negative IDs
 	}

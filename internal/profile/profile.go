@@ -36,12 +36,12 @@ const (
 // or a segment, the immutable record of one IOS block's committed batch
 // (see CommitStages). One RWMutex guards the maps, the list of segments,
 // the per-operator owner index and the simulated profiler time; a
-// segment's own lookup index is built once, on its first lookup, and read
-// without the lock. A lookup takes the read lock only, so concurrent
-// sweeps sharing one table scale with cores once the working set is
-// memoized. A miss prices the probe outside any lock and then, in one
-// write-locked section, re-checks the map and the segments, inserts and
-// charges the simulated time: a racer that lost stores and charges
+// segment, lookup index included, is complete before it is committed and
+// is read without the lock. A lookup takes the read lock only, so
+// concurrent sweeps sharing one table scale with cores once the working
+// set is memoized. A miss prices the probe outside any lock and then, in
+// one write-locked section, re-checks the map and the segments, inserts
+// and charges the simulated time: a racer that lost stores and charges
 // nothing, and a Stats snapshot never pairs a probe count with the time
 // of a different count. Concurrent use requires the wrapped model's own
 // lookups to be safe for concurrent readers (every model in internal/cost
@@ -89,13 +89,11 @@ type opOwner struct {
 
 // segment is one block's committed batch, stored as CommitStages received
 // it: the block's operator list and its first probes, whose members name
-// positions + 1 in that list, ascending. Both are immutable. The index
-// that finds a probe by its members is built on the first lookup, so a
-// block no caller looks up again never pays for it.
+// positions + 1 in that list, ascending, with the index that finds a
+// probe by its members. All three are immutable.
 type segment struct {
 	ops    []graph.OpID
 	probes []cost.MemoProbe
-	once   sync.Once
 	index  []uint32 // open addressing over probes: entry + 1, 0 for empty
 }
 
@@ -129,9 +127,8 @@ func (sg *segment) build() {
 }
 
 // time returns the measurement the segment holds for the stage whose
-// members are k, building the index on the first call.
+// members are k.
 func (sg *segment) time(k *segKey) (units.Millis, bool) {
-	sg.once.Do(sg.build)
 	mask := uint64(len(sg.index) - 1)
 	for i := hashSegKey(k) & mask; ; i = (i + 1) & mask {
 		e := sg.index[i]
@@ -304,12 +301,13 @@ func (t *CostTable) price(ops []graph.OpID) units.Millis {
 //
 // When no probe over any of the block's operators has been recorded yet
 // (every block of a fresh table), the batch is stored as one segment: a
-// copy of ops and of the batch, made before the lock is taken, so the
-// write-locked section only claims the operators in the owner index and
-// charges the probes. Otherwise each probe is inserted into the maps,
-// unless a segment already holds it. Over an impure inner model
-// PriceStage has recorded every probe already, and there is nothing to
-// do.
+// copy of ops and of the batch, with its lookup index, made before the
+// lock is taken, so the write-locked section only claims the operators
+// in the owner index and charges the probes. Any other block replays its
+// batch through StageTime, in batch order: the per-call path the batch
+// promises to match, which skips a probe already recorded. Over an
+// impure inner model PriceStage has recorded every probe already, and
+// there is nothing to do.
 func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 	if t.pure == nil || len(batch) == 0 {
 		return
@@ -317,36 +315,27 @@ func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 	t.mu.RLock()
 	fresh := t.fresh(ops)
 	t.mu.RUnlock()
-	var seg *segment
 	if fresh {
-		seg = &segment{ops: slices.Clone(ops), probes: slices.Clone(batch)}
-	}
-	var buf [cost.MemoWidth]graph.OpID
-	t.mu.Lock()
-	if seg != nil && t.addSegment(seg) {
+		seg := &segment{ops: slices.Clone(ops), probes: slices.Clone(batch)}
+		seg.build()
+		t.mu.Lock()
+		added := t.addSegment(seg)
 		t.mu.Unlock()
-		return
+		if added {
+			return
+		}
 	}
+	stage := make([]graph.OpID, 0, cost.MemoWidth)
 	for i := range batch {
-		p := &batch[i]
-		stage := buf[:0]
-		for _, x := range p.Members {
+		stage = stage[:0]
+		for _, x := range batch[i].Members {
 			if x == 0 {
 				break
 			}
 			stage = append(stage, ops[x-1])
 		}
-		if len(stage) == 1 {
-			store(t, t.ops, stage[0], stage, p.Time)
-			continue
-		}
-		key, ok := inlineKey(stage)
-		if !ok { // an ID past 2^32-2: interned as StageTime would
-			key = t.stages.intern(spillSig(stage))
-		}
-		store(t, t.stages.vals, key, stage, p.Time)
+		t.StageTime(stage)
 	}
-	t.mu.Unlock()
 }
 
 // store records x as k's measurement, the probe over the operators ops
@@ -493,27 +482,22 @@ func (t *CostTable) Stats() Stats {
 	}
 }
 
-// stageKeyInline is how many members an inline stageKey holds. The IOS
-// dynamic program, the hot caller, never probes stages wider than its
-// MaxStage default of 8.
-const stageKeyInline = 8
-
 // stageKey identifies a stage probe by its sorted member set. An inline
 // key holds id+1 of each member, ascending and zero-padded, so its first
 // word is never zero for a non-empty stage. A stage with more than
-// stageKeyInline members, or with an ID that id+1 cannot carry in 32
-// bits, is spilled instead: its exact encoding is interned in the
-// stageMap and its key is {0, ordinal}. The key holds no pointers, so the
-// map hashes and compares its 32 bytes directly; the 88-byte key with a
-// spill string it replaced made the map lookups a quarter of a profiled
-// IOS solve.
-type stageKey [stageKeyInline]uint32
+// cost.MemoWidth members (the IOS dynamic program, the hot caller, probes
+// none at its defaults), or with an ID that id+1 cannot carry in 32 bits,
+// is spilled instead: its exact encoding is interned in the stageMap and
+// its key is {0, ordinal}. The key holds no pointers, so the map hashes
+// and compares its 32 bytes directly; the 88-byte key with a spill string
+// it replaced made the map lookups a quarter of a profiled IOS solve.
+type stageKey [cost.MemoWidth]uint32
 
 // inlineKey builds ops' inline key, or reports false when ops must spill.
 // Members are insertion-sorted into place: stages are tiny.
 func inlineKey(ops []graph.OpID) (stageKey, bool) {
 	var k stageKey
-	if len(ops) > stageKeyInline {
+	if len(ops) > cost.MemoWidth {
 		return k, false
 	}
 	for i, v := range ops {
@@ -621,7 +605,7 @@ func (sm *stageMap) members(k stageKey) []graph.OpID {
 		}
 		return out
 	}
-	out := make([]graph.OpID, 0, stageKeyInline)
+	out := make([]graph.OpID, 0, cost.MemoWidth)
 	for _, x := range k {
 		if x == 0 {
 			break

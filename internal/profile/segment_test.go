@@ -135,31 +135,6 @@ func TestSegmentConcurrentSolves(t *testing.T) {
 	}
 }
 
-// TestSegmentIndexBuiltOnDemand: a segment's lookup index is built on
-// the first lookup that reaches the segment, and never for a lookup a
-// map entry answers.
-func TestSegmentIndexBuiltOnDemand(t *testing.T) {
-	tab := NewTable(mixModel{}, 1, 1)
-	commitAll(tab, []graph.OpID{10, 11, 12}, []uint16{1}, []uint16{2}, []uint16{1, 3})
-	commitAll(tab, []graph.OpID{20, 21}, []uint16{1}, []uint16{1, 2})
-	if len(tab.segs) != 2 {
-		t.Fatalf("two fresh blocks made %d segments, want 2", len(tab.segs))
-	}
-	a, b := tab.segs[0], tab.segs[1]
-	cross := []graph.OpID{20, 10}
-	// No one segment owns both members: a map miss, then a map hit.
-	x := tab.StageTime(cross)
-	if got := tab.StageTime(cross); got != x || a.index != nil || b.index != nil { //lint:floatexact a memoized value
-		t.Fatalf("map lookups built a segment index (a %v, b %v)", a.index != nil, b.index != nil)
-	}
-	if tab.OpTime(10) != (mixModel{}).OpTime(10) || a.index == nil || b.index != nil { //lint:floatexact a memoized value
-		t.Fatalf("a lookup in segment a: index built a %v, b %v, want a only", a.index != nil, b.index != nil)
-	}
-	if st := tab.Stats(); st.OpProbes != 3 || st.StageProbes != 3 {
-		t.Fatalf("Stats = %+v, want 3 op and 3 stage probes", st)
-	}
-}
-
 // TestSegmentHitsAllocFree extends TestHitsAllocFree to probes a
 // segment answers.
 func TestSegmentHitsAllocFree(t *testing.T) {

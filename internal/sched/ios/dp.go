@@ -1,9 +1,11 @@
 package ios
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
@@ -218,27 +220,20 @@ func siftDownTop(h []topEntry, i int) {
 	*hole = e
 }
 
-// stateLess orders two bucket states by (cost, bitset): the beam
+// stateCmp orders two bucket states by (cost, bitset): the beam
 // selection's total order. Distinct states have distinct bitsets, so the
 // order is strict and the selected set is unique.
-func (p *pending) stateLess(a, b int32) bool {
+func (p *pending) stateCmp(a, b int32) int {
 	x, y := &p.states[a], &p.states[b]
-	// Exact IEEE inequality keeps this tie-break a strict weak order; an
-	// epsilon compare would not.
-	if x.cost != y.cost { //lint:floatexact comparator tie-break: epsilon would break the strict weak order
-		return x.cost < y.cost
+	if c := cmp.Compare(x.cost, y.cost); c != 0 {
+		return c
 	}
-	return less(x.set, y.set)
+	return slices.Compare(x.set[:], y.set[:])
 }
-
-// stageMemoWidth is the widest stage the per-block stage memo keeps: its
-// key packs one uint16 per member. It matches the MaxStage default;
-// wider stages are priced by a direct call.
-const stageMemoWidth = cost.MemoWidth
 
 // solver holds every scratch structure of the block dynamic program, so
 // the blocks of one solve, and the later solves that take it from the
-// solver pool (ios.go), reuse the allocations. The zero value is ready.
+// idle list (ios.go), reuse the allocations. The zero value is ready.
 // Per-block context (the block, the model, the filled options) lives in
 // fields so the enumeration can recurse through methods without
 // per-block closures.
@@ -273,19 +268,18 @@ type solver struct {
 	topLimit int // top heap size per bucket: Beam+1 in beam mode, else 0
 
 	// Per-block stage-price memo of the generic path, on only for a
-	// cost.MemoModel (mm). memo holds the block's first probes in probe
-	// order, which makes it the batch handed to mm.CommitStages; the
-	// entries before memoDone are committed already. memoIndex is open
-	// addressing over memo (memoSlot); memoEpoch names the current
+	// cost.MemoModel (mm) when MaxStage is at most cost.MemoWidth. memo
+	// holds the block's first probes in probe order, which makes it the
+	// batch handed to mm.CommitStages when the block ends. memoIndex is
+	// open addressing over memo (memoSlot); memoEpoch names the current
 	// block's slots, so starting a block empties the index without
 	// touching it. skey is the candidate stage's memo key, maintained
 	// beside s.stage.
 	mm        cost.MemoModel
 	memo      []cost.MemoProbe
-	memoDone  int
 	memoIndex []uint64
 	memoEpoch uint64
-	skey      [stageMemoWidth]uint16
+	skey      [cost.MemoWidth]uint16
 
 	// DFS-incremental candidate state: nset/nhash track curSet plus the
 	// members of s.stage; cur* are the expanding state's fields, copied
@@ -432,10 +426,11 @@ func (s *solver) enumFast(fr []int, i int, maxT, work units.Millis, util float64
 // slice. The probe contents, call set and call order are identical to the
 // pre-rework DP, which keeps probe-counting models byte-identical. The one
 // exception is opt-in: for a cost.MemoModel (profile.CostTable and the
-// Fig. 14 accounting built on it) a stage of at most stageMemoWidth
-// members is priced once per block by PriceStage, repeats read the memo,
-// and the block's first probes reach the model in one CommitStages batch
-// — the model promised the same values and the same accounting.
+// Fig. 14 accounting built on it), when no stage can outgrow the memo
+// key, every stage is priced once per block by PriceStage, repeats read
+// the memo, and the block's first probes reach the model in one
+// CommitStages batch — the model promised the same values and the same
+// accounting.
 func (s *solver) enumGeneric(fr []int, i int) {
 	for j := i; j < len(fr); j++ {
 		li := fr[j]
@@ -444,20 +439,16 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.stage = append(s.stage, li)
 		s.probe = append(s.probe, s.block[li])
 		n := len(s.stage)
-		switch {
-		case s.mm != nil && n <= stageMemoWidth:
+		if s.mm != nil {
 			s.skey[n-1] = uint16(li + 1)
 			s.transition(s.memoStageTime())
-		case s.mm != nil:
-			s.commitMemo() // the batch precedes this direct call
-			s.transition(s.m.StageTime(s.probe))
-		default:
+		} else {
 			s.transition(s.m.StageTime(s.probe))
 		}
 		if n < s.maxStage && j+1 < len(fr) {
 			s.enumGeneric(fr, j+1)
 		}
-		if n <= stageMemoWidth {
+		if s.mm != nil {
 			s.skey[n-1] = 0
 		}
 		s.probe = s.probe[:n-1]
@@ -545,62 +536,22 @@ func (s *solver) resetMemo() {
 		s.memoEpoch = 1
 	}
 	s.memo = s.memo[:0]
-	s.memoDone = 0
 }
 
-// commitMemo hands the memo entries not yet committed to the model, in
-// first-probe order.
-func (s *solver) commitMemo() {
-	if d := s.memoDone; uint(d) < uint(len(s.memo)) {
-		s.mm.CommitStages(s.block, s.memo[d:])
-		s.memoDone = len(s.memo)
-	}
-}
-
-// selectBeam picks the beam cheapest states of the bucket under the
-// (cost, bitset) total order and returns their indices in ascending
-// order — exactly the prefix a full sort-and-trim would keep, found with
-// a bounded max-heap in O(n log beam) instead of sorting the whole
-// bucket.
+// selectBeam returns the indices of the beam cheapest states of the
+// bucket, in ascending (cost, bitset) order: exactly the prefix a full
+// sort-and-trim would keep. Only states costing no more than the bucket's
+// bound can rank among them, since at least beam+1 states cost no more
+// than bound (DESIGN.md §15), so it sorts just those.
 func (s *solver) selectBeam(pd *pending, beam int) []int32 {
 	s.keep = s.keep[:0]
-	for i := 0; i < beam; i++ {
-		s.keep = append(s.keep, int32(i))
-	}
-	for i := beam/2 - 1; i >= 0; i-- {
-		siftDown(pd, s.keep, i)
-	}
-	for i := beam; i < len(pd.states); i++ {
-		if pd.stateLess(int32(i), s.keep[0]) {
-			s.keep[0] = int32(i)
-			siftDown(pd, s.keep, 0)
+	for i := range pd.states {
+		if !(pd.states[i].cost > pd.bound) {
+			s.keep = append(s.keep, int32(i))
 		}
 	}
-	for n := len(s.keep) - 1; n > 0; n-- {
-		s.keep[0], s.keep[n] = s.keep[n], s.keep[0]
-		siftDown(pd, s.keep[:n], 0)
-	}
-	return s.keep
-}
-
-// siftDown restores the max-heap property (largest kept state on top,
-// under pending.stateLess) at position i of h.
-func siftDown(pd *pending, h []int32, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		j := l
-		if r := l + 1; r < len(h) && pd.stateLess(h[l], h[r]) {
-			j = r
-		}
-		if !pd.stateLess(h[i], h[j]) {
-			return
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
+	slices.SortFunc(s.keep, pd.stateCmp)
+	return s.keep[:beam]
 }
 
 // solveBlock runs the IOS dynamic program on one block and returns the
@@ -634,7 +585,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			s.inBlock[v] = -1
 		}
 		if s.mm != nil {
-			s.commitMemo()
+			s.mm.CommitStages(s.block, s.memo)
 		}
 	}()
 	s.linkBlock(g, block)
@@ -656,7 +607,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 		}
 	}
 	s.mm = nil
-	if mm, memo := m.(cost.MemoModel); memo && !fast {
+	if mm, memo := m.(cost.MemoModel); memo && !fast && opt.MaxStage <= cost.MemoWidth {
 		s.mm = mm
 		s.resetMemo()
 	}
@@ -762,15 +713,6 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 		set, prev = p.set, p.prev
 	}
 	return out, nil
-}
-
-func less(a, b bitset) bool {
-	for i := 0; i < len(a); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
 
 // linkBlock builds the per-block dependency structure over the local

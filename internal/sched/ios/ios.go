@@ -32,6 +32,7 @@ package ios
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -92,19 +93,43 @@ func (o *Options) fill() {
 	o.MaxStage = min(o.MaxStage, o.PruneWindow, maxBlockOps)
 }
 
-// solvers pools solver scratch across Schedule and SolveSequence calls.
-// A solver holds no result and resets every structure per block, so a
-// pooled solver solves exactly as a fresh one (DESIGN.md §7); the pool
-// only saves allocating, zeroing and regrowing the memo, the ring and the
-// slabs on every solve.
-var solvers = sync.Pool{New: func() any { return new(solver) }}
+// idle keeps solver scratch across Schedule and SolveSequence calls: at
+// most GOMAXPROCS solvers, as many as can solve at once. A solver holds
+// no result and resets every structure per block, so a reused solver
+// solves exactly as a fresh one (DESIGN.md §7); reuse only saves
+// allocating, zeroing and regrowing the memo, the ring and the slabs on
+// every solve. A sync.Pool, which drops what it holds across two
+// collections, made that saving depend on when they fell (DESIGN.md §15).
+var idle struct {
+	sync.Mutex
+	solvers []*solver
+}
 
-// putSolver returns s to the pool, dropping the last block's context so
-// the pool keeps no caller's graph, model or operators alive. A solve
-// that panics never returns its solver.
+// getSolver takes an idle solver, or makes one.
+func getSolver() *solver {
+	idle.Lock()
+	n := len(idle.solvers)
+	if n == 0 {
+		idle.Unlock()
+		return new(solver)
+	}
+	s := idle.solvers[n-1]
+	idle.solvers[n-1] = nil
+	idle.solvers = idle.solvers[:n-1]
+	idle.Unlock()
+	return s
+}
+
+// putSolver keeps s for a later solve unless GOMAXPROCS solvers are idle
+// already, dropping the last block's context so no caller's graph, model
+// or operators stay alive. A solve that panics never returns its solver.
 func putSolver(s *solver) {
 	s.block, s.m, s.mm = nil, nil, nil
-	solvers.Put(s)
+	idle.Lock()
+	if len(idle.solvers) < runtime.GOMAXPROCS(0) {
+		idle.solvers = append(idle.solvers, s)
+	}
+	idle.Unlock()
 }
 
 // Schedule runs IOS on g under cost model m and returns the single-GPU
@@ -114,7 +139,7 @@ func Schedule(g *graph.Graph, m cost.Model, opt Options) (sched.Result, error) {
 		return sched.Result{}, err
 	}
 	opt.fill()
-	sv := solvers.Get().(*solver)
+	sv := getSolver()
 	res, err := sv.schedule(g, m, opt)
 	putSolver(sv)
 	return res, err
@@ -160,7 +185,7 @@ func SolveSequence(g *graph.Graph, m cost.Model, ops []graph.OpID, opt Options) 
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	sv := solvers.Get().(*solver)
+	sv := getSolver()
 	stages, err := sv.solveCached(g, m, ops, opt)
 	putSolver(sv)
 	return stages, err

@@ -3,11 +3,13 @@ package ios
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/shus-lab/hios/internal/cost"
 	"github.com/shus-lab/hios/internal/graph"
+	"github.com/shus-lab/hios/internal/profile"
 	"github.com/shus-lab/hios/internal/randdag"
 	"github.com/shus-lab/hios/internal/sched"
 	"github.com/shus-lab/hios/internal/sched/seq"
@@ -296,6 +298,42 @@ func TestMaxStageRespected(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHugeIOSMaxStage checks that a stage bound far above anything a
+// stage can hold passes Validate and schedules exactly as the default: a
+// stage is drawn from at most PruneWindow frontier operators, so the
+// bound is capped before it sizes the pending ring or decides whether
+// the stage memo is on. It solves on a pure model and behind a profiling
+// table, whose probe accounting must match the default's too.
+func TestHugeIOSMaxStage(t *testing.T) {
+	cfg := randdag.Paper()
+	cfg.Ops, cfg.Layers, cfg.Deps, cfg.Seed = 30, 5, 60, 11
+	g := randdag.MustGenerate(cfg)
+	m := cost.FromGraph(g, cost.DefaultContention())
+	solve := func(maxStage int) (sched.Result, sched.Result, profile.Stats) {
+		t.Helper()
+		pure, err := Schedule(g, m, Options{MaxStage: maxStage})
+		if err != nil {
+			t.Fatalf("MaxStage %d: %v", maxStage, err)
+		}
+		tab := profile.NewTable(m, 0, 0)
+		profiled, err := Schedule(g, tab, Options{MaxStage: maxStage})
+		if err != nil {
+			t.Fatalf("MaxStage %d, profiled: %v", maxStage, err)
+		}
+		return pure, profiled, tab.Stats()
+	}
+	wantPure, wantProfiled, wantStats := solve(8)
+	for _, ms := range []int{math.MaxInt, math.MaxInt - 1} {
+		pure, profiled, st := solve(ms)
+		if !reflect.DeepEqual(pure, wantPure) || !reflect.DeepEqual(profiled, wantProfiled) {
+			t.Fatalf("MaxStage %d schedules otherwise than MaxStage 8", ms)
+		}
+		if !reflect.DeepEqual(st, wantStats) {
+			t.Fatalf("MaxStage %d: profiling stats %+v, want %+v", ms, st, wantStats)
+		}
 	}
 }
 
