@@ -315,10 +315,10 @@ func TestLedgerBoundInventory(t *testing.T) {
 		}
 	}
 	// The two preprofmemo entries and the prereach entry were never
-	// measured at seed, and eventq's BenchmarkQueuePushPop and the four
-	// costcache and dpcache probe benchmarks are report-only.
-	if seeded != 50 || len(l.Benchmarks) != 58 {
-		t.Errorf("%d of %d entries carry the seed bound, want 50 of 58", seeded, len(l.Benchmarks))
+	// measured at seed, and eventq's BenchmarkQueuePushPop and the two
+	// dpcache probe benchmarks are report-only.
+	if seeded != 50 || len(l.Benchmarks) != 56 {
+		t.Errorf("%d of %d entries carry the seed bound, want 50 of 56", seeded, len(l.Benchmarks))
 	}
 	for _, cp := range slices.Sorted(maps.Keys(want)) {
 		if !slices.Equal(got[cp], want[cp].benches) {

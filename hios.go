@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/dpcache"
 	"github.com/shus-lab/hios/internal/experiments"
 	"github.com/shus-lab/hios/internal/gpu"
@@ -292,22 +291,35 @@ func ImportProfile(data []byte) (*FrozenCostModel, error) {
 	return profile.Import(data)
 }
 
-// KernelCacheStats snapshots the process-wide kernel-signature cache:
-// how many distinct kernel, transfer and concurrent-stage shapes have
-// been priced, and the hit/miss counts per tier. The cache memoizes the
-// analytic cost model by shape (never by operator identity), so building
-// many nets or sweeping many sizes in one process re-derives each
-// distinct roofline exactly once; see DESIGN.md "Cost-model caching
-// hierarchy".
-type KernelCacheStats = costcache.Stats
+// KernelCacheStats has the fields of the shape cache the process once
+// kept in front of the device, link and contention models. That cache
+// cost more per probe than the roofline it memoized and is gone; the
+// models are priced directly, so every count reads zero.
+//
+// Deprecated: nothing is cached by shape. The benchmark harness is the
+// last caller; BlockCacheStats reports the one shared cache.
+type KernelCacheStats struct {
+	Kernels, Transfers, Stages                int
+	KernelHits, TransferHits, StageHits       int64
+	KernelMisses, TransferMisses, StageMisses int64
+}
 
-// SharedKernelCacheStats reports the shared cache's current snapshot.
-func SharedKernelCacheStats() KernelCacheStats { return costcache.Shared().Stats() }
+// Probes returns the sum of the hit and miss counts.
+func (s KernelCacheStats) Probes() int64 {
+	return s.KernelHits + s.KernelMisses +
+		s.TransferHits + s.TransferMisses +
+		s.StageHits + s.StageMisses
+}
 
-// ResetSharedKernelCache drops every memoized shape. Results never
-// depend on the cache's state — values are pure functions of their
-// shapes — so this only matters for cold-cache measurements.
-func ResetSharedKernelCache() { costcache.Shared().Reset() }
+// SharedKernelCacheStats returns a zero KernelCacheStats.
+//
+// Deprecated: nothing is cached by shape; use SharedBlockCacheStats.
+func SharedKernelCacheStats() KernelCacheStats { return KernelCacheStats{} }
+
+// ResetSharedKernelCache does nothing.
+//
+// Deprecated: nothing is cached by shape; use ResetSharedBlockCache.
+func ResetSharedKernelCache() {}
 
 // BlockCacheStats snapshots the process-wide IOS block-solve cache: how
 // many distinct block signatures have been solved and how often a solve
@@ -326,9 +338,12 @@ func SharedBlockCacheStats() BlockCacheStats { return dpcache.Shared().Stats() }
 // depend on the cache's state — only cold-path timings do.
 func ResetSharedBlockCache() { dpcache.Shared().Reset() }
 
-// CachedCostModel prices a built net. The builder baked the shared
-// kernel-signature cache's values into the net's graph weights, so this
-// is DefaultCostModel on the net's graph; the error is always nil.
+// CachedCostModel prices a built net. The builder priced every operator
+// and transfer into the net's graph weights, so this is DefaultCostModel
+// on the net's graph; the error is always nil.
+//
+// Deprecated: use DefaultCostModel(n.G). The benchmark harness is the
+// last caller.
 func CachedCostModel(n *Net) (CostModel, error) {
 	return DefaultCostModel(n.G), nil
 }

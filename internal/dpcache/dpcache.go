@@ -16,32 +16,37 @@
 //
 // The cache only ever holds solves for models satisfying the
 // cost.ItemModel contract — models that are pure functions of their
-// items. Probe-counting models (profile.CostTable, the kernel-cache
-// model) never reach it, so profiling accounting is unchanged whether
-// this cache is cold or warm.
+// items. Probe-counting models (profile.CostTable) never reach it, so
+// profiling accounting is unchanged whether this cache is cold or warm.
 //
-// Concurrency: the solves live in a memo.Counted table, whose values are
-// pure functions of their keys and whose first insert wins, so parallel
-// block solvers and sweep workers share one cache without perturbing
-// byte-identical figure output (see package memo).
+// Concurrency: a lookup takes the read lock; a miss solves outside any
+// lock and inserts under the write lock with a re-check. Racers compute
+// bit-identical solves and the first insert wins, so parallel block
+// solvers and sweep workers share one cache without perturbing
+// byte-identical figure output. It is the process's only shared cache.
 package dpcache
 
 import (
 	"encoding/binary"
 	"math"
-
-	"github.com/shus-lab/hios/internal/memo"
+	"sync"
+	"sync/atomic"
 )
 
-// Cache memoizes block solves by canonical signature. The zero value is
-// not ready; use New (or the process-wide Shared).
+// Cache memoizes block solves by canonical signature. Hits and misses
+// are counted in atomics: a concurrent miss may be counted before its
+// insert is visible, so Hits+Misses can briefly exceed the map size,
+// never the reverse. The zero value is not ready; use New (or the
+// process-wide Shared).
 type Cache struct {
-	blocks *memo.Counted[string, [][]int32]
+	mu           sync.RWMutex
+	blocks       map[string][][]int32
+	hits, misses atomic.Int64
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{blocks: memo.NewCounted[string, [][]int32]()}
+	return &Cache{blocks: make(map[string][][]int32)}
 }
 
 var shared = New()
@@ -58,14 +63,27 @@ func Shared() *Cache { return shared }
 // OpID stages. The key may be a reusable scratch buffer: the lookup
 // converts it without allocating, and Get never retains it.
 func (c *Cache) Get(key []byte) ([][]int32, bool) {
-	return memo.GetBytes(c.blocks, key)
+	c.mu.RLock()
+	st, ok := c.blocks[string(key)]
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return st, ok
 }
 
 // Put memoizes a solve. The stages are retained as-is and must not be
 // mutated afterwards; on a racing double-compute the first insert wins,
 // which is immaterial because racers compute bit-identical values.
 func (c *Cache) Put(key []byte, stages [][]int32) {
-	c.blocks.Put(string(key), stages)
+	k := string(key) // copied before locking: the section is the insert
+	c.mu.Lock()
+	if _, ok := c.blocks[k]; !ok {
+		c.blocks[k] = stages
+	}
+	c.mu.Unlock()
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
@@ -78,16 +96,24 @@ type Stats struct {
 // Probes returns the total lookup count the cache has served.
 func (s Stats) Probes() int64 { return s.Hits + s.Misses }
 
-// Stats snapshots the cache. The counters are monotonic atomics (a
-// concurrent miss may be counted before its insert is visible, so
-// Hits+Misses can briefly exceed the map size — never the reverse).
+// Stats snapshots the cache.
 func (c *Cache) Stats() Stats {
-	return Stats{Blocks: c.blocks.Len(), Hits: c.blocks.Hits(), Misses: c.blocks.Misses()}
+	c.mu.RLock()
+	n := len(c.blocks)
+	c.mu.RUnlock()
+	return Stats{Blocks: n, Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 // Reset drops every cached solve and zeroes the counters. Results are
 // unaffected by when (or whether) this is called — only hit rates are.
-func (c *Cache) Reset() { c.blocks.Reset() }
+func (c *Cache) Reset() {
+	fresh := make(map[string][][]int32) // built before locking: the section is one swap
+	c.mu.Lock()
+	c.blocks = fresh
+	c.mu.Unlock()
+	c.hits.Store(0)
+	c.misses.Store(0)
+}
 
 // Sig builds canonical block signatures. It is an append-only byte
 // encoder over a caller-owned buffer: integers are varint-coded, floats

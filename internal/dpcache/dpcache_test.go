@@ -42,6 +42,57 @@ func TestFirstInsertWins(t *testing.T) {
 	}
 }
 
+// TestRacersStoreOneValue races many writers on one key, each offering a
+// different solve: every racer, and every reader after the race, sees
+// the same stored solve.
+func TestRacersStoreOneValue(t *testing.T) {
+	c := New()
+	key := []byte("k")
+	const racers = 16
+	var wg sync.WaitGroup
+	got := make([]int32, racers)
+	for r := 0; r < racers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c.Put(key, [][]int32{{int32(100 + r)}})
+			st, ok := c.Get(key)
+			if !ok {
+				t.Errorf("racer %d: miss after Put", r)
+				return
+			}
+			got[r] = st[0][0]
+		}(r)
+	}
+	wg.Wait()
+	want, _ := c.Get(key)
+	for r, v := range got {
+		if v != want[0][0] {
+			t.Fatalf("racer %d saw %d, stored solve is %d", r, v, want[0][0])
+		}
+	}
+	if st := c.Stats(); st.Blocks != 1 {
+		t.Fatalf("blocks = %d, want 1", st.Blocks)
+	}
+}
+
+// TestGetAllocFree pins the hit path: a lookup converts the scratch key
+// without allocating. The key is longer than the 32 bytes a conversion
+// may borrow from the stack, as real block signatures are.
+func TestGetAllocFree(t *testing.T) {
+	c := New()
+	key := bytes.Repeat([]byte("block-signature/"), 4)
+	c.Put(key, [][]int32{{1}})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get(key); !ok {
+			t.Fatal("miss on a stored key")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Get allocates %v times per lookup, want 0", allocs)
+	}
+}
+
 func TestStatsAndReset(t *testing.T) {
 	c := New()
 	c.Put([]byte("a"), [][]int32{{0}})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/dpcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
@@ -179,8 +178,8 @@ func BenchmarkSweepFig10Width1(b *testing.B)    { benchSweep(b, 1) }
 func BenchmarkSweepFig10FullWidth(b *testing.B) { benchSweep(b, 0) }
 
 // BenchmarkSweepFig7Cold is the sweep workload from cold caches: Fig. 7
-// at one seed on a GOMAXPROCS-wide pool, with the shared block and
-// kernel caches reset outside the timer before every iteration, so each
+// at one seed on a GOMAXPROCS-wide pool, with the shared block cache
+// reset outside the timer before every iteration, so each
 // pays the one cold IOS solve per distinct graph. It reports the cost
 // per (x, seed) cell.
 func BenchmarkSweepFig7Cold(b *testing.B) {
@@ -191,7 +190,6 @@ func BenchmarkSweepFig7Cold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dpcache.Shared().Reset()
-		costcache.Shared().Reset()
 		b.StartTimer()
 		fig, err := Fig7(opt)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/shus-lab/hios/internal/cost"
-	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/model"
 	"github.com/shus-lab/hios/internal/parallel"
@@ -48,9 +47,9 @@ func Fig1() Figure {
 	s := Series{Label: dev.Name}
 	for _, size := range Fig1Sizes {
 		k := paperConvKernel(int(size))
-		t, u := costcache.Shared().KernelTime(dev, k)
+		t, u := dev.Time(k), dev.Utilization(k)
 		seqT := 2 * t
-		parT := costcache.Shared().StageTime(c, []cost.Item{{Time: t, Util: u}, {Time: t, Util: u}})
+		parT := c.StageTimeItems([]cost.Item{{Time: t, Util: u}, {Time: t, Util: u}})
 		s.Points = append(s.Points, Point{X: size, Mean: seqT.Ratio(parT)})
 	}
 	fig.Series = []Series{s}
@@ -72,10 +71,9 @@ func Fig2() Figure {
 		for _, size := range Fig1Sizes {
 			k := paperConvKernel(int(size))
 			inputBytes := units.Bytes(4 * 48 * size * size)
-			compute, _ := costcache.Shared().KernelTime(p.Dev, k)
 			s.Points = append(s.Points, Point{
 				X:    size,
-				Mean: costcache.Shared().TransferTime(p.Link, inputBytes).Ratio(compute),
+				Mean: p.Link.TransferTime(inputBytes).Ratio(p.Dev.Time(k)),
 			})
 		}
 		fig.Series = append(fig.Series, s)
@@ -124,10 +122,8 @@ func BuildBenchmark(b Benchmark, p gpu.Platform, size int) (*model.Net, error) {
 func Fig12(b Benchmark, sizes []int) (Figure, error) { return fig12(b, sizes, 0) }
 
 // fig12 runs one size per worker-pool task: every cell builds its own
-// net (through the shared shape cache, which concurrent builders may
-// populate in any order without changing a single value) and measures
-// every algorithm, and the merge is index-ordered, so the figure is
-// byte-identical at any pool width.
+// net and measures every algorithm, and the merge is index-ordered, so
+// the figure is byte-identical at any pool width.
 func fig12(b Benchmark, sizes []int, workers int) (Figure, error) {
 	if sizes == nil {
 		sizes = DefaultSizes(b)

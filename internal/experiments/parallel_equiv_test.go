@@ -83,3 +83,44 @@ func TestAblationWindowParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("AblationWindow diverges between serial and parallel sweeps:\n--- serial ---\n%s\n--- parallel ---\n%s", sOut, wOut)
 	}
 }
+
+// TestFig12ParallelMatchesSerial extends the DESIGN.md §7 determinism
+// contract to the real-system sweep: Fig. 12 cells run on the worker
+// pool, and the rendered figure must stay byte-identical to the serial
+// reference path.
+func TestFig12ParallelMatchesSerial(t *testing.T) {
+	sizes := []int{299, 384}
+	sFig, err := fig12(Inception, sizes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wFig, err := fig12(Inception, sizes, runtime.GOMAXPROCS(0)+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sOut, wOut := renderBoth(t, sFig), renderBoth(t, wFig)
+	if sOut != wOut {
+		t.Fatalf("Fig12 diverges between serial and parallel sweeps:\n--- serial ---\n%s\n--- parallel ---\n%s", sOut, wOut)
+	}
+}
+
+// TestFig13ParallelMatchesSerial is the same contract for the scenario
+// sweep of Fig. 13. The scenarios include the 2048-pixel builds, so run
+// it only with -timeout headroom (it is the heaviest equivalence test).
+func TestFig13ParallelMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig13 at full scenario sizes is slow; skipped with -short")
+	}
+	sFig, _, err := fig13(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wFig, _, err := fig13(runtime.GOMAXPROCS(0) + 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sOut, wOut := renderBoth(t, sFig), renderBoth(t, wFig)
+	if sOut != wOut {
+		t.Fatalf("Fig13 diverges between serial and parallel sweeps:\n--- serial ---\n%s\n--- parallel ---\n%s", sOut, wOut)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/shus-lab/hios/internal/cost"
+	"github.com/shus-lab/hios/internal/dpcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/profile"
 )
@@ -60,5 +61,45 @@ func TestSchedulingCostDigest(t *testing.T) {
 	sum := sha256.Sum256(snap)
 	if got := hex.EncodeToString(sum[:]); got != schedulingCostExportDigest {
 		t.Errorf("scheduling-cost export digest %s, recorded %s", got, schedulingCostExportDigest)
+	}
+}
+
+// TestFig14AccountingCacheInvariant pins dpcache's promise that
+// probe-counting models never reach it: Fig. 14's profiling-cost
+// accounting for IOS — distinct probes and simulated profiler
+// milliseconds against a fresh table — is the same with the block cache
+// cold as after an unprofiled IOS solve of the same net has filled it.
+func TestFig14AccountingCacheInvariant(t *testing.T) {
+	dpcache.Shared().Reset()
+	t.Cleanup(dpcache.Shared().Reset)
+	cold, err := MeasureSchedulingCost(AlgoIOS, Inception, 299)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat := gpu.DualA40()
+	net, err := BuildBenchmark(Inception, plat, 299)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(AlgoIOS, net.G, cost.FromGraph(net.G, cost.DefaultContention()), RunConfig{GPUs: plat.GPUs}); err != nil {
+		t.Fatal(err)
+	}
+	filled := dpcache.Shared().Stats()
+	if filled.Blocks == 0 {
+		t.Fatal("the unprofiled IOS solve stored no blocks, so the warm run checks nothing")
+	}
+	warm, err := MeasureSchedulingCost(AlgoIOS, Inception, 299)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := dpcache.Shared().Stats(); after.Probes() != filled.Probes() {
+		t.Fatalf("the profiled IOS solve probed the block cache %d times, want 0", after.Probes()-filled.Probes())
+	}
+	if cold.Probes != warm.Probes {
+		t.Fatalf("probe count depends on block-cache state: cold %d, warm %d", cold.Probes, warm.Probes)
+	}
+	if math.Float64bits(cold.ProfilingMs) != math.Float64bits(warm.ProfilingMs) {
+		t.Fatalf("simulated profiling time depends on block-cache state: cold %v, warm %v",
+			cold.ProfilingMs, warm.ProfilingMs)
 	}
 }

@@ -46,12 +46,12 @@ func TestDeterminismScopeCoversMPIAndRandDAG(t *testing.T) {
 	}
 }
 
-// internal/memo holds the double-checked insert costcache, dpcache and
-// profile share, so the lock, map-order and float checks covering those
-// caches must cover it too. Removing it from a scope fails the unmatched
-// want comments here.
-func TestMemoScope(t *testing.T) {
-	const pkg = lint.ModulePath + "/internal/memo/fixture"
+// internal/dpcache holds the process's one shared cache and its
+// double-checked insert, so the lock, map-order and float checks must
+// cover it. Removing it from a scope fails the unmatched want comments
+// here.
+func TestDPCacheScope(t *testing.T) {
+	const pkg = lint.ModulePath + "/internal/dpcache/fixture"
 	linttest.Run(t, lint.LockSafe, "testdata/locksafe", pkg)
 	linttest.Run(t, lint.MapOrder, "testdata/maporder", pkg)
 	linttest.Run(t, lint.FloatCmp, "testdata/floatcmp", pkg)
@@ -165,7 +165,7 @@ func TestCrossPackageHotPropagationRealModule(t *testing.T) {
 }
 
 func TestLockSafe(t *testing.T) {
-	linttest.Run(t, lint.LockSafe, "testdata/locksafe", lint.ModulePath+"/internal/costcache/fixture")
+	linttest.Run(t, lint.LockSafe, "testdata/locksafe", lint.ModulePath+"/internal/dpcache/fixture")
 }
 
 func TestSeedFlow(t *testing.T) {

@@ -9,10 +9,9 @@ import (
 )
 
 // LockSafe enforces the lock discipline of the mutex-bearing packages
-// (internal/costcache, internal/dpcache, internal/memo,
-// internal/profile, internal/parallel, internal/runtime,
-// internal/cluster): critical
-// sections stay short, allocation-free and balanced. Concretely it flags
+// (internal/dpcache, internal/profile, internal/parallel,
+// internal/runtime, internal/cluster): critical sections stay short,
+// allocation-free and balanced. Concretely it flags
 //
 //   - allocation under a held sync.Mutex/RWMutex — make, new, slice and
 //     map literals, address-taken composites. Building the value before
@@ -35,7 +34,7 @@ import (
 //     followed by a store under Lock with no second read between the
 //     Lock and the store loses the racer's insert silently; both the
 //     else-branch re-check and the defer-unlock early-return re-check
-//     (memo.Map.Put) are accepted.
+//     are accepted.
 //
 // The analysis is per-function and positional: a critical section is the
 // source span from a Lock/RLock call to its matching unlock (function end
@@ -50,7 +49,7 @@ var LockSafe = &analysis.Analyzer{
 }
 
 func runLockSafe(pass *analysis.Pass) error {
-	if !inScope(pass.Path, "internal/costcache", "internal/dpcache", "internal/memo", "internal/profile", "internal/parallel", "internal/runtime", "internal/cluster") {
+	if !inScope(pass.Path, "internal/dpcache", "internal/profile", "internal/parallel", "internal/runtime", "internal/cluster") {
 		return nil
 	}
 	for _, f := range pass.Files {

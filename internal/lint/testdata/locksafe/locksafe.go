@@ -133,7 +133,7 @@ func (g *guarded) insertNoRecheck(k int, v float64) float64 {
 	return v
 }
 
-// costcache's else-branch re-check is sanctioned.
+// The else-branch re-check is sanctioned.
 func (g *guarded) insertElseRecheck(k int, v float64) float64 {
 	g.mu.RLock()
 	old, ok := g.vals[k]

@@ -42,7 +42,7 @@ var UnitFlow = &analysis.Analyzer{
 // unitflowScope lists the quantity-bearing layers: everywhere a
 // units.Millis/Bytes/FLOPs value is produced or consumed.
 var unitflowScope = []string{
-	"internal/gpu", "internal/cost", "internal/costcache", "internal/profile",
+	"internal/gpu", "internal/cost", "internal/profile",
 	"internal/model", "internal/sched", "internal/sim", "internal/eventq", "internal/pipeline",
 	"internal/trace", "internal/memory", "internal/runtime",
 	"internal/experiments", "internal/cluster",

@@ -12,7 +12,6 @@ package model
 import (
 	"fmt"
 
-	"github.com/shus-lab/hios/internal/costcache"
 	"github.com/shus-lab/hios/internal/gpu"
 	"github.com/shus-lab/hios/internal/graph"
 	"github.com/shus-lab/hios/internal/units"
@@ -33,8 +32,7 @@ func (t Tensor) Bytes() int64 { return 4 * t.Elems() }
 func (t Tensor) String() string { return fmt.Sprintf("%dx%dx%d", t.C, t.H, t.W) }
 
 // Net is a built network: a finalized weighted graph plus per-operator
-// output shapes and the kernel characterizations the weights were priced
-// from.
+// output shapes.
 type Net struct {
 	// Name identifies the network and input size, e.g.
 	// "inception-v3-299".
@@ -43,8 +41,6 @@ type Net struct {
 	G *graph.Graph
 	// Shapes holds each operator's output tensor, indexed by OpID.
 	Shapes []Tensor
-	// Kernels holds each operator's kernel shape, indexed by OpID.
-	Kernels []gpu.Kernel
 	// Dev and Link are the platform the weights were priced on.
 	Dev  gpu.Device
 	Link gpu.Link
@@ -54,12 +50,11 @@ type Net struct {
 // malformed shapes (builders encode static architectures; a shape error is
 // a programming bug, not an input error), and Build finalizes the graph.
 type Builder struct {
-	name    string
-	dev     gpu.Device
-	link    gpu.Link
-	g       *graph.Graph
-	shapes  []Tensor
-	kernels []gpu.Kernel
+	name   string
+	dev    gpu.Device
+	link   gpu.Link
+	g      *graph.Graph
+	shapes []Tensor
 }
 
 // NewBuilder returns a Builder pricing operators on dev and transfers on
@@ -71,27 +66,22 @@ func NewBuilder(name string, dev gpu.Device, link gpu.Link) *Builder {
 // Shape returns the output tensor of an already-added operator.
 func (b *Builder) Shape(id graph.OpID) Tensor { return b.shapes[id] }
 
-// addOp prices the kernel on the builder's device — through the
-// process-wide shape cache, so the repeated cells of NASNet (and
-// re-builds of the same benchmark at other sweep points) derive the
-// roofline once per distinct shape — and appends the op. The cached
-// values are bit-identical to calling the device model directly.
+// addOp prices the kernel on the builder's device and each input edge on
+// the builder's link, and appends the op.
 func (b *Builder) addOp(name, kind string, out Tensor, k gpu.Kernel, srcs ...graph.OpID) graph.OpID {
 	if out.C <= 0 || out.H <= 0 || out.W <= 0 {
 		panic(fmt.Sprintf("model: %s %q produces non-positive shape %v", kind, name, out))
 	}
-	t, util := costcache.Shared().KernelTime(b.dev, k)
 	id := b.g.AddOp(graph.Op{
 		Name:  name,
 		Kind:  kind,
-		Time:  float64(t),
-		Util:  util,
+		Time:  float64(b.dev.Time(k)),
+		Util:  b.dev.Utilization(k),
 		Bytes: out.Bytes(),
 	})
 	b.shapes = append(b.shapes, out)
-	b.kernels = append(b.kernels, k)
 	for _, s := range srcs {
-		b.g.AddEdge(s, id, float64(costcache.Shared().TransferTime(b.link, units.Bytes(b.shapes[s].Bytes()))))
+		b.g.AddEdge(s, id, float64(b.link.TransferTime(units.Bytes(b.shapes[s].Bytes()))))
 	}
 	return id
 }
@@ -232,7 +222,7 @@ func (b *Builder) Build() (*Net, error) {
 	if err := b.g.Finalize(); err != nil {
 		return nil, err
 	}
-	return &Net{Name: b.name, G: b.g, Shapes: b.shapes, Kernels: b.kernels, Dev: b.dev, Link: b.link}, nil
+	return &Net{Name: b.name, G: b.g, Shapes: b.shapes, Dev: b.dev, Link: b.link}, nil
 }
 
 // MustBuild is Build that panics on error; architecture builders are

@@ -204,8 +204,8 @@ func TestDifferentDevicesDifferentTimes(t *testing.T) {
 }
 
 // TestBuilderCacheStability: building the same net twice yields
-// byte-identical graph weights — the second build is served almost
-// entirely from the shared cache, and cached values must not drift.
+// byte-identical graph weights — a build is a pure function of the
+// architecture and the platform.
 func TestBuilderCacheStability(t *testing.T) {
 	a := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)
 	b := InceptionV3(gpu.A40(), gpu.NVLinkBridge(), 299)

@@ -82,8 +82,11 @@ func hiosLP(g *graph.Graph, m cost.Model) error {
 // table and behind an identical table hidden from the per-block stage
 // memo: schedules, latency bits, the price the solve saw for each member
 // set, probe counts, simulated profiler time and the exported
-// measurements must all agree. The wide case's stages
-// outgrow the memo key, so its batch is flushed before each direct call.
+// measurements must all agree. The wide case's MaxStage (10) is above
+// cost.MemoWidth, so the per-block memo is off there: it compares the
+// memo-off path of a cost.MemoModel, every stage priced through
+// StageTime, with the hidden-table path, and checks that stages wider
+// than the memo were probed.
 // The warm case solves on tables HIOS-LP has probed first, whose stages
 // of three or more members may have been priced in another member
 // order; the twice case solves twice on one table; and the frozen case
