@@ -292,6 +292,7 @@ func TestLedgerBoundInventory(t *testing.T) {
 		"prereach":    {[]string{"internal/sched/ios.BenchmarkSolveNASNetCold"}, 0.85, 1.15, 0},
 		"prebatch":    {[]string{x + "SchedulerIOSNASNetProfiled"}, 0.85, 0, 0.5},
 		"presegment":  {[]string{x + "SchedulerIOSNASNetProfiled"}, 0, 1, 0.7},
+		"prelist":     {[]string{x + "SchedulerIOSCold", "internal/sched/ios.BenchmarkSolveNASNetCold"}, 0, 1, 1.1},
 	}
 	if l.DefaultBound != (bound{Vs: "seed", Ns: 1.25, Allocs: 1.15}) {
 		t.Errorf("default bound = %+v", l.DefaultBound)
@@ -407,9 +408,9 @@ func TestLedgerBoundsFailAlone(t *testing.T) {
 	}
 	// 50 seed entries x 2 metrics, 2x2 preincr, 3x2 preprune, 3 prelean,
 	// 2x2 preprofmemo, 1x2 prereach, 1x2 prebatch (ns and bytes), 1x2
-	// presegment (allocs and bytes).
-	if checks != 100+4+6+3+4+2+2+2 {
-		t.Errorf("%d bound checks, want 123", checks)
+	// presegment (allocs and bytes), 2x2 prelist (allocs and bytes).
+	if checks != 100+4+6+3+4+2+2+2+4 {
+		t.Errorf("%d bound checks, want 127", checks)
 	}
 }
 

@@ -164,8 +164,11 @@ func TestCrossPackageHotPropagationRealModule(t *testing.T) {
 	}
 }
 
+// TestLockSafe loads the fixture under internal/profile, whose table
+// guards its maps and segments with one RWMutex; TestDPCacheScope covers
+// internal/dpcache.
 func TestLockSafe(t *testing.T) {
-	linttest.Run(t, lint.LockSafe, "testdata/locksafe", lint.ModulePath+"/internal/dpcache/fixture")
+	linttest.Run(t, lint.LockSafe, "testdata/locksafe", lint.ModulePath+"/internal/profile/fixture")
 }
 
 func TestSeedFlow(t *testing.T) {

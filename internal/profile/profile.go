@@ -303,11 +303,13 @@ func (t *CostTable) price(ops []graph.OpID) units.Millis {
 // (every block of a fresh table), the batch is stored as one segment: a
 // copy of ops and of the batch, with its lookup index, made before the
 // lock is taken, so the write-locked section only claims the operators
-// in the owner index and charges the probes. Any other block replays its
-// batch through StageTime, in batch order: the per-call path the batch
-// promises to match, which skips a probe already recorded. Over an
-// impure inner model PriceStage has recorded every probe already, and
-// there is nothing to do.
+// in the owner index and charges the probes. Any other block stores its
+// batch in one write-locked section, in batch order, through the store
+// that StageTime's miss uses: a probe already recorded is skipped, and a
+// new one is recorded at the batch's price, which PriceStage computed as
+// StageTime would have, and charged. Over an impure inner model
+// PriceStage has recorded every probe already, and there is nothing to
+// do.
 func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 	if t.pure == nil || len(batch) == 0 {
 		return
@@ -325,16 +327,23 @@ func (t *CostTable) CommitStages(ops []graph.OpID, batch []cost.MemoProbe) {
 			return
 		}
 	}
-	stage := make([]graph.OpID, 0, cost.MemoWidth)
+	var buf [cost.MemoWidth]graph.OpID
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i := range batch {
-		stage = stage[:0]
-		for _, x := range batch[i].Members {
+		p := &batch[i]
+		stage := buf[:0]
+		for _, x := range p.Members {
 			if x == 0 {
 				break
 			}
 			stage = append(stage, ops[x-1])
 		}
-		t.StageTime(stage)
+		if len(stage) == 1 {
+			store(t, t.ops, stage[0], stage, p.Time)
+		} else {
+			store(t, t.stages.vals, t.stages.key(stage), stage, p.Time)
+		}
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"github.com/shus-lab/hios/internal/units"
 )
 
-// TestSelectBeamMatchesSort fills buckets through transition, with
-// repeated improvements, many equal costs and ties at the bucket's bound,
-// and requires selectBeam to return the first beam states of a full
-// (cost, bitset) sort of the bucket, in that order, for beams of 1 to 8.
+// TestSelectBeamMatchesSort fills buckets through transition, behind the
+// enumeration loops' beam cut, with repeated improvements, many equal
+// costs and ties at the bucket's bound, and requires selectBeam to return
+// the first beam states of a full (cost, bitset) sort of the bucket, in
+// that order, for beams of 1 to 8. The colliding hash has zero high bits,
+// so every index tag collides and each lookup compares full sets.
 func TestSelectBeamMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var improved, ties, selections int
@@ -21,8 +23,8 @@ func TestSelectBeamMatchesSort(t *testing.T) {
 			var s solver
 			s.reset(0, 0, Options{MaxStage: 1})
 			s.topLimit = beam + 1
-			s.stage = append(s.stage[:0], 0) // one-member stages land in slot 1
-			pd := &s.ring[1]
+			s.aim(0)
+			pd := s.tgt[1] // one-member stages land in slot 1
 
 			// A small universe of distinct sets makes repeats, and so
 			// improvements; a coarse cost grid makes equal costs. The
@@ -39,10 +41,12 @@ func TestSelectBeamMatchesSort(t *testing.T) {
 				s.nhash = s.nset[0] ^ s.nset[1]&3
 				s.curDone = int32(k)
 				c := units.Millis(rng.Intn(6)) * 0.5
-				if oi := pd.find(s.nhash, &s.nset); oi >= 0 && c < pd.states[oi].cost && !(c > pd.bound) {
+				if oi, _ := pd.find(s.nhash, &s.nset); oi >= 0 && c < pd.states[oi].cost && !(c > pd.bound) {
 					improved++
 				}
-				s.transition(c)
+				if !(c > pd.bound) {
+					s.transition(pd, c, &s.nset, s.nhash)
+				}
 			}
 			n := len(pd.states)
 			if n <= beam {

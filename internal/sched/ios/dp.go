@@ -26,10 +26,17 @@ func (b *bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b *bitset) unset(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b *bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
+// equal is b == *o word by word, which stops at the first difference
+// where the array compare calls memequal over all 64 bytes.
+func (b *bitset) equal(o *bitset) bool {
+	return b[0] == o[0] && b[1] == o[1] && b[2] == o[2] && b[3] == o[3] &&
+		b[4] == o[4] && b[5] == o[5] && b[6] == o[6] && b[7] == o[7]
+}
+
 // zobrist holds one random-looking 64-bit key per local operator index.
-// A state's hash is the XOR of its members' keys, so the DP maintains it
-// incrementally in O(1) per set/unset along the subset-enumeration DFS
-// instead of re-mixing the whole bitset per candidate. The keys come from
+// A state's hash is the XOR of its members' keys, so a candidate's hash
+// is the expanding state's XOR its stage members' keys, with no re-mixing
+// of the whole bitset. The keys come from
 // a splitmix64 stream over the index — fixed constants that hash bitsets
 // and never feed an RNG, hence the seedflow suppressions. The hash only
 // picks open-addressing probe positions (lookups compare full bitsets),
@@ -79,7 +86,7 @@ type topEntry struct {
 
 // pending is the storage of one in-flight operator count: the states that
 // have been created but not yet expanded and the open-addressing index over
-// them (0 = empty, else state index + 1). In beam mode it also keeps top, a
+// them (indexSlot: 0 = empty). In beam mode it also keeps top, a
 // max-heap over the entry costs of at most Beam+1 distinct states, and
 // bound, the heap's root cost once the heap is full (+Inf until then): at
 // least Beam+1 states then cost no more than bound, so a transition priced
@@ -94,41 +101,59 @@ type topEntry struct {
 // working set to the live window.
 type pending struct {
 	states []dpState
-	index  []int32
+	index  []uint64
 	filled int
 	top    []topEntry
 	bound  units.Millis
 }
 
-// find returns the bucket index of the state with the given set, or -1.
-// The stored hash is compared first: it rejects almost every collision
-// without touching the 64-byte set.
-func (p *pending) find(hash uint64, set *bitset) int32 {
+// An index slot packs the high 32 bits of a state's hash (its tag) over
+// the state's bucket index + 1, so the empty slot is 0 and a lookup reads
+// the state slab only when the tags match.
+const tagMask uint64 = 0xffff_ffff_0000_0000
+
+func indexSlot(hash uint64, si int32) uint64 { return hash&tagMask | uint64(si+1) }
+
+// find returns the bucket index of the state with the given set (or -1)
+// and the index position where the probe stopped: the state's slot, or
+// the empty slot where insert records a new one. A miss reads no state.
+func (p *pending) find(hash uint64, set *bitset) (int32, uint64) {
 	mask := uint64(len(p.index) - 1)
+	tag := hash & tagMask
 	for i := hash & mask; ; i = (i + 1) & mask {
 		e := p.index[i]
 		if e == 0 {
-			return -1
+			return -1, i
 		}
-		if st := &p.states[e-1]; st.hash == hash && st.set == *set {
-			return e - 1
+		if e&tagMask == tag {
+			if si := int32(uint32(e)) - 1; p.states[si].set.equal(set) {
+				return si, i
+			}
 		}
 	}
 }
 
-// insert records the (already appended) state at bucket index si in the
-// index, growing and rehashing at 3/4 load.
-func (p *pending) insert(si int32) {
+// insert records the (already appended) state at bucket index si at the
+// empty slot i that find returned for it, growing and rehashing at 3/4
+// load first.
+func (p *pending) insert(si int32, i uint64) {
+	hash := p.states[si].hash
 	if (p.filled+1)*4 >= len(p.index)*3 {
 		p.rehash(len(p.index) * 2)
+		i = p.free(hash)
 	}
+	p.index[i] = indexSlot(hash, si)
+	p.filled++
+}
+
+// free returns the first empty slot from hash's home slot on.
+func (p *pending) free(hash uint64) uint64 {
 	mask := uint64(len(p.index) - 1)
-	i := p.states[si].hash & mask
+	i := hash & mask
 	for p.index[i] != 0 {
 		i = (i + 1) & mask
 	}
-	p.index[i] = si + 1
-	p.filled++
+	return i
 }
 
 func (p *pending) rehash(capacity int) {
@@ -136,15 +161,11 @@ func (p *pending) rehash(capacity int) {
 		p.index = p.index[:capacity]
 		clear(p.index)
 	} else {
-		p.index = make([]int32, capacity)
+		p.index = make([]uint64, capacity)
 	}
-	mask := uint64(capacity - 1)
 	for si := range p.states {
-		i := p.states[si].hash & mask
-		for p.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		p.index[i] = int32(si) + 1
+		h := p.states[si].hash
+		p.index[p.free(h)] = indexSlot(h, int32(si))
 	}
 }
 
@@ -250,14 +271,24 @@ type solver struct {
 	sources bitset
 	words   int
 
-	ring []pending // pending buckets, slot = count % (MaxStage+1)
-	done []dpState // expanded states, in expansion order
+	ring []pending  // pending buckets, slot = count % (MaxStage+1)
+	tgt  []*pending // tgt[k]: the bucket a k-member stage lands in (aim)
+	done []dpState  // expanded states, in expansion order
 
 	front  []int        // frontier scratch
-	stage  []int        // current candidate stage (local indices)
+	stage  []int        // current candidate stage (local indices, generic path)
 	probe  []graph.OpID // candidate stage as graph IDs (generic path)
 	keep   []int32      // beam selection scratch
 	keyBuf []byte       // dpcache signature scratch (cache.go)
+
+	// Candidate lists of the fast path (candList): lists[n] enumerates
+	// the candidate stages of an n-operator frontier, built on first use
+	// and kept while MaxStage stays listStage. agg prices one list over
+	// the frontier's operators in fops.
+	lists     [][]cand
+	listStage int
+	agg       []stageAgg
+	fops      []frontierOp
 
 	// Per-block context.
 	block    []graph.OpID
@@ -281,17 +312,44 @@ type solver struct {
 	memoEpoch uint64
 	skey      [cost.MemoWidth]uint16
 
-	// DFS-incremental candidate state: nset/nhash track curSet plus the
-	// members of s.stage; cur* are the expanding state's fields, copied
-	// out of the bucket so methods never hold pointers into growable
-	// slabs. curSlot is the expanding state's ring slot; nhash ^ curHash
-	// is the zobrist hash of the stage alone.
+	// Candidate state: cur* are the expanding state's fields, copied out
+	// of the bucket so methods never hold pointers into growable slabs.
+	// On the generic path nset/nhash are the set and zobrist hash of the
+	// candidate's target, curSet plus the members of s.stage, maintained
+	// by the recursion; nhash ^ curHash is the zobrist hash of the stage
+	// alone.
 	nset    bitset
 	nhash   uint64
+	curSet  bitset
 	curHash uint64
 	curCost units.Millis
 	curDone int32
-	curSlot int
+}
+
+// cand is one entry of a candidate list: the stage of entry parent (none
+// when parent is -1) plus the frontier operator at position pos, size
+// members in all. Members are added in ascending position order, so a
+// stage is its chain of parents read backwards.
+type cand struct {
+	parent int32
+	pos    uint16
+	size   uint16
+}
+
+// frontierOp is a frontier operator as the candidate passes read it: its
+// stage item, and its bit and zobrist key in a target's set and hash.
+type frontierOp struct {
+	it   cost.Item
+	word int
+	bit  uint64
+	key  uint64
+}
+
+// stageAgg is one candidate's contention fold and its price t.
+type stageAgg struct {
+	maxT, work units.Millis
+	util       float64
+	t          units.Millis
 }
 
 // ensureInBlock sizes the OpID -> local-index map for a graph of n
@@ -326,12 +384,34 @@ func (s *solver) reset(n, b int, opt Options) {
 	for i := range s.ring {
 		pd := &s.ring[i]
 		if cap(pd.index) < initialIndex {
-			pd.index = make([]int32, initialIndex)
+			pd.index = make([]uint64, initialIndex)
 		}
 		pd.recycle()
 	}
+	if cap(s.tgt) < ringLen {
+		s.tgt = make([]*pending, ringLen)
+	}
+	s.tgt = s.tgt[:ringLen]
+	if s.listStage != opt.MaxStage {
+		for i := range s.lists {
+			s.lists[i] = s.lists[i][:0]
+		}
+		s.listStage = opt.MaxStage
+	}
 	s.done = s.done[:0]
 	s.maxStage = opt.MaxStage
+}
+
+// aim points tgt[k], for every stage size k, at the ring bucket of the
+// count k above the one in ring slot slot (k < len(ring): one wrap).
+func (s *solver) aim(slot int) {
+	for k := 1; k < len(s.tgt); k++ {
+		t := slot + k
+		if t >= len(s.ring) {
+			t -= len(s.ring)
+		}
+		s.tgt[k] = &s.ring[t]
+	}
 }
 
 // growNested resizes a slice of slices, keeping the inner backing arrays
@@ -345,28 +425,19 @@ func growNested[T any](buf [][]T, n int) [][]T {
 	return buf[:n]
 }
 
-// transition records the candidate stage in s.stage as a DP transition
-// from the current expanding state: dp[S∪T] = min(dp[S∪T], dp[S] + t).
-// The target state's set and hash are already in nset/nhash (maintained by
-// the enumeration DFS).
+// transition records a candidate that passed the beam cut as a DP
+// transition from the current expanding state into bucket pd, the one
+// its stage size aims at: dp[S∪T] = min(dp[S∪T], ncost), where ncost is
+// dp[S] + t(T), and set and hash are the target state's.
 //
-// The beam cut returns before the lookup when ncost exceeds the target
-// bucket's bound: at least Beam+1 other states already cost less, so the
-// target can never be kept, and every kept state ends cheaper than ncost,
-// so the transition is never the first minimal one into a kept state.
-// Pricing happens before the call, so the cut never changes which stages
+// The cut, ncost > pd.bound, sits in the enumeration loops, before the
+// call: at least Beam+1 other states already cost less, so the target
+// can never be kept, and every kept state ends cheaper than ncost, so
+// the transition is never the first minimal one into a kept state.
+// Pricing happens before the cut, so the cut never changes which stages
 // a probe-counting model sees.
-func (s *solver) transition(t units.Millis) {
-	ncost := s.curCost + t
-	slot := s.curSlot + len(s.stage) // len(stage) < len(ring): one wrap
-	if slot >= len(s.ring) {
-		slot -= len(s.ring)
-	}
-	pd := &s.ring[slot]
-	if ncost > pd.bound {
-		return
-	}
-	oi := pd.find(s.nhash, &s.nset)
+func (s *solver) transition(pd *pending, ncost units.Millis, set *bitset, hash uint64) {
+	oi, slot := pd.find(hash, set)
 	if oi >= 0 {
 		old := &pd.states[oi]
 		if !(ncost < old.cost) {
@@ -379,53 +450,104 @@ func (s *solver) transition(t units.Millis) {
 	}
 	oi = int32(len(pd.states))
 	pd.states = append(pd.states, dpState{
-		set:  s.nset,
-		hash: s.nhash,
+		set:  *set,
+		hash: hash,
 		cost: ncost,
 		prev: s.curDone,
 	})
-	pd.insert(oi)
+	pd.insert(oi, slot)
 	pd.offer(&pd.states[oi], oi, ncost, s.topLimit)
 }
 
-// enumFast visits every non-empty subset of fr[i:] extending the current
-// stage prefix (capped at maxStage members), pricing each candidate by
-// folding the block's items through the contention model incrementally:
-// the aggregates ride the recursion as arguments, so extending a stage by
-// one operator costs one accumulate instead of re-pricing the whole
-// candidate. The visit order is identical to the generic enumeration.
-func (s *solver) enumFast(fr []int, i int, maxT, work units.Millis, util float64) {
-	for j := i; j < len(fr); j++ {
-		li := fr[j]
-		it := s.items[li]
-		nmaxT, nwork, nutil := s.ct.Accumulate(maxT, work, util, it.Time, it.Util)
-		s.nset.set(li)
-		s.nhash ^= zobrist[li]
-		s.stage = append(s.stage, li)
-		var t units.Millis
-		if len(s.stage) == 1 {
+// candList returns the candidate list of an n-operator frontier: every
+// non-empty subset of positions 0..n-1 of at most maxStage members, in
+// the order of a depth-first enumeration that extends a stage with each
+// later position in turn, so a parent precedes its children. The list
+// depends only on n and MaxStage; it is built on first use and kept in
+// the solver until MaxStage changes (reset).
+func (s *solver) candList(n int) []cand {
+	if n >= len(s.lists) {
+		s.lists = growNested(s.lists, n+1)
+	}
+	if l := s.lists[n]; len(l) > 0 {
+		return l
+	}
+	l := appendCands(s.lists[n][:0], -1, 0, n, 1, s.maxStage)
+	s.lists[n] = l
+	return l
+}
+
+// appendCands appends the depth-first enumeration of the stages that
+// extend entry parent (of size-1 members) with positions i..n-1.
+func appendCands(l []cand, parent int32, i, n, size, maxStage int) []cand {
+	for j := i; j < n; j++ {
+		e := int32(len(l))
+		l = append(l, cand{parent: parent, pos: uint16(j), size: uint16(size)})
+		if size < maxStage && j+1 < n {
+			l = appendCands(l, e, j+1, n, size+1, maxStage)
+		}
+	}
+	return l
+}
+
+// enumList is the fast path's enumeration of the stages drawn from the
+// frontier fr, over the frontier's candidate list. One pass prices every
+// entry by folding its last member onto its parent's aggregates through
+// the contention model: members fold in ascending order, as a whole-stage
+// fold would, so every price is bit-identical to StageTime's. A second
+// pass, in list order, applies the beam cut and builds the target's set
+// and hash only for a candidate that passes it.
+func (s *solver) enumList(fr []int) {
+	list := s.candList(len(fr))
+	if cap(s.agg) < len(list) {
+		s.agg = make([]stageAgg, len(list))
+	}
+	agg := s.agg[:len(list)]
+	fops := s.fops[:0]
+	for _, li := range fr {
+		fops = append(fops, frontierOp{it: s.items[li], word: li / 64, bit: 1 << (uint(li) % 64), key: zobrist[li]})
+	}
+	s.fops = fops
+	ct := s.ct
+	for e, c := range list {
+		it := fops[c.pos].it
+		a := &agg[e]
+		if c.parent < 0 {
 			// Bit-identical to the fold: with util in (0, 1] after
 			// clamping, max(t, t·u) is t and no oversubscription scale
 			// fires. Matches GraphModel.StageTime's singleton case.
-			t = it.Time
-		} else {
-			t = s.ct.Combine(nmaxT, nwork, nutil)
+			a.maxT, a.work, a.util = ct.Accumulate(0, 0, 0, it.Time, it.Util)
+			a.t = it.Time
+			continue
 		}
-		s.transition(t)
-		if len(s.stage) < s.maxStage && j+1 < len(fr) {
-			s.enumFast(fr, j+1, nmaxT, nwork, nutil)
+		p := &agg[c.parent]
+		a.maxT, a.work, a.util = ct.Accumulate(p.maxT, p.work, p.util, it.Time, it.Util)
+		a.t = ct.Combine(a.maxT, a.work, a.util)
+	}
+	tgt, curCost := s.tgt, s.curCost
+	for e, c := range list {
+		pd := tgt[c.size]
+		ncost := curCost + agg[e].t
+		if ncost > pd.bound {
+			continue
 		}
-		s.stage = s.stage[:len(s.stage)-1]
-		s.nhash ^= zobrist[li]
-		s.nset.unset(li)
+		set, h := s.curSet, s.curHash
+		for x := int32(e); x >= 0; x = list[x].parent {
+			f := &fops[list[x].pos]
+			set[f.word] |= f.bit
+			h ^= f.key
+		}
+		s.transition(pd, ncost, &set, h)
 	}
 }
 
-// enumGeneric is enumFast for models outside the ItemModel contract: each
-// candidate is priced by m.StageTime on the incrementally maintained probe
-// slice. The probe contents, call set and call order are identical to the
-// pre-rework DP, which keeps probe-counting models byte-identical. The one
-// exception is opt-in: for a cost.MemoModel (profile.CostTable and the
+// enumGeneric visits every non-empty subset of fr[i:] extending the
+// current stage prefix (capped at maxStage members), in candidate-list
+// order, for models outside the ItemModel contract: each candidate is
+// priced by m.StageTime on the incrementally maintained probe slice, and
+// nset/nhash follow the recursion. The probe contents, call set and call
+// order are identical to the pre-rework DP, which keeps probe-counting
+// models byte-identical. The one exception is opt-in: for a cost.MemoModel (profile.CostTable and the
 // Fig. 14 accounting built on it), when no stage can outgrow the memo
 // key, every stage is priced once per block by PriceStage, repeats read
 // the memo, and the block's first probes reach the model in one
@@ -439,11 +561,15 @@ func (s *solver) enumGeneric(fr []int, i int) {
 		s.stage = append(s.stage, li)
 		s.probe = append(s.probe, s.block[li])
 		n := len(s.stage)
+		var t units.Millis
 		if s.mm != nil {
 			s.skey[n-1] = uint16(li + 1)
-			s.transition(s.memoStageTime())
+			t = s.memoStageTime()
 		} else {
-			s.transition(s.m.StageTime(s.probe))
+			t = s.m.StageTime(s.probe)
+		}
+		if pd, ncost := s.tgt[n], s.curCost+t; !(ncost > pd.bound) {
+			s.transition(pd, ncost, &s.nset, s.nhash)
 		}
 		if n < s.maxStage && j+1 < len(fr) {
 			s.enumGeneric(fr, j+1)
@@ -617,7 +743,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	// bucket is final when its turn comes.
 	ring0 := &s.ring[0]
 	ring0.states = append(ring0.states, dpState{prev: -1})
-	ring0.insert(0)
+	ring0.insert(0, ring0.free(0))
 
 	if cap(s.probe) < opt.MaxStage {
 		s.probe = make([]graph.OpID, 0, opt.MaxStage)
@@ -631,6 +757,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 	for c := 0; c < b; c++ {
 		slot := c % len(s.ring)
 		pd := &s.ring[slot]
+		s.aim(slot)
 		var kept []int32
 		n := len(pd.states)
 		if beam > 0 && n > beam {
@@ -656,12 +783,12 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 			di := int32(len(s.done))
 			s.done = append(s.done, *st)
 
-			s.curCost, s.curDone, s.curSlot = st.cost, di, slot
-			s.nset = st.set
-			s.nhash, s.curHash = st.hash, st.hash
+			s.curCost, s.curDone = st.cost, di
+			s.curSet, s.curHash = st.set, st.hash
 			if fast {
-				s.enumFast(s.front, 0, 0, 0, 0)
+				s.enumList(s.front)
 			} else {
+				s.nset, s.nhash = st.set, st.hash
 				s.enumGeneric(s.front, 0)
 			}
 		}
@@ -675,7 +802,7 @@ func (s *solver) solveBlock(g *graph.Graph, m cost.Model, block []graph.OpID, op
 		fh ^= zobrist[i]
 	}
 	fullPd := &s.ring[b%len(s.ring)]
-	end := fullPd.find(fh, &full)
+	end, _ := fullPd.find(fh, &full)
 	if end < 0 {
 		return nil, fmt.Errorf("ios: dynamic program did not reach the full state (beam too narrow?)")
 	}

@@ -206,3 +206,91 @@ func TestGenericProbeDigest(t *testing.T) {
 		t.Fatalf("generic probe digest changed: got %s, want %s", got, genericProbeDigest)
 	}
 }
+
+// opaqueModel hides every method of a model but cost.Model's, so the DP
+// takes the generic StageTime path with no stage memo.
+type opaqueModel struct{ cost.Model }
+
+// TestFastPathMatchesGeneric holds the fast path's candidate lists to the
+// generic path's recursion. Every list of up to 16 positions, at every
+// stage bound, must hold the stages in the recursion's visit order, and
+// every differential instance, plus wide-window instances (PruneWindow
+// 10-16, MaxStage 3-11), must solve to the same stages and latency bits
+// on the ItemModel and behind an opaque wrapper. The order matters: it
+// decides the first minimal predecessor of a state and when the beam
+// bound falls.
+func TestFastPathMatchesGeneric(t *testing.T) {
+	var s solver
+	for maxStage := 1; maxStage <= 16; maxStage++ {
+		s.reset(0, 0, Options{MaxStage: maxStage})
+		for n := 1; n <= 16; n++ {
+			list := s.candList(n)
+			e := 0
+			// visit walks the recursion's stages that extend entry parent
+			// (of size-1 members) with positions i..n-1, and checks that
+			// the list holds each one next.
+			var visit func(parent int32, i, size int)
+			visit = func(parent int32, i, size int) {
+				for j := i; j < n; j++ {
+					want := cand{parent: parent, pos: uint16(j), size: uint16(size)}
+					if e >= len(list) || list[e] != want {
+						t.Fatalf("n %d, MaxStage %d: entry %d of %d is not %+v", n, maxStage, e, len(list), want)
+					}
+					e++
+					if size < maxStage {
+						visit(int32(e-1), j+1, size+1)
+					}
+				}
+			}
+			visit(-1, 0, 1)
+			if e != len(list) {
+				t.Fatalf("n %d, MaxStage %d: %d candidates, the recursion visits %d", n, maxStage, len(list), e)
+			}
+		}
+	}
+
+	solve := func(cfg *randdag.Config, opt Options) (string, string) {
+		g := randdag.MustGenerate(*cfg)
+		m := cost.FromGraph(g, cost.DefaultContention())
+		opt.NoCache = true
+		var out [2]string
+		for i, mm := range []cost.Model{m, opaqueModel{m}} {
+			res, err := Schedule(g, mm, opt)
+			if err != nil {
+				t.Fatalf("Schedule(%+v): %v", opt, err)
+			}
+			out[i] = fmt.Sprintf("%v|%b", res.Schedule.GPUs[0].Stages, float64(res.Latency))
+		}
+		return out[0], out[1]
+	}
+	for i := 0; i < diffInstances; i++ {
+		cfg, opt := diffCase(i)
+		if fast, generic := solve(cfg, opt); fast != generic {
+			t.Fatalf("instance %d (%+v): fast path %s, generic path %s", i, opt, fast, generic)
+		}
+	}
+	widest := 0
+	for i := 0; i < 40; i++ {
+		rng := rand.New(rand.NewSource(int64(5000 + i)))
+		cfg := randdag.Paper()
+		cfg.Ops = 16 + rng.Intn(15)
+		cfg.Layers = 2 + rng.Intn(5)
+		cfg.Deps = cfg.Ops + rng.Intn(cfg.Ops)
+		cfg.Seed = int64(i + 1)
+		opt := Options{
+			PruneWindow: 10 + rng.Intn(7),
+			MaxStage:    3 + rng.Intn(9),
+			ExactLimit:  1,
+			Beam:        1 + rng.Intn(4),
+		}
+		if fast, generic := solve(&cfg, opt); fast != generic {
+			t.Fatalf("wide instance %d (%+v): fast path %s, generic path %s", i, opt, fast, generic)
+		}
+		g := randdag.MustGenerate(cfg)
+		_, _, w := dpWork(t, g, cost.FromGraph(g, cost.DefaultContention()), opt)
+		widest = max(widest, w)
+	}
+	if widest < 16 {
+		t.Fatalf("the wide instances reach frontiers of %d operators, want 16", widest)
+	}
+}
